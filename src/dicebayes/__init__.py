@@ -10,8 +10,8 @@ base distribution).
 """
 
 from .core import (Average, BudgetExhausted, ContradictoryData,
-                   DegeneratePolytope, Distribution, Exact, FairThrow,
-                   FrequencyVector, Johnson, LargeN, Multiplicity,
+                   DegeneratePolytope, DegenerateWeights, Distribution, Exact,
+                   FairThrow, FrequencyVector, Johnson, LargeN, Multiplicity,
                    PosteriorResult, Query, NEG_INFINITY, POS_INFINITY,
                    NEW, OLD, burg_entropy, kl_divergence, shannon_entropy)
 from .combinatorics import (ConstraintSet, count_sequences,

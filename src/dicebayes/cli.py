@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import List, Optional, Sequence, Tuple
 
-from .core import (Average, BudgetExhausted, ContradictoryData, Distribution,
-                   Exact, FairThrow, Johnson, LargeN, Multiplicity, Query,
+from .core import (Average, BudgetExhausted, ContradictoryData, DegenerateWeights,
+                   Distribution, Exact, FairThrow, Johnson, LargeN, Multiplicity, Query,
                    PosteriorResult, ANALYTIC_LIMIT, NEW, OLD, shannon_entropy)
 from .exact_models import fair_posterior, generalized_johnson_posterior, johnson_posterior
 from .maxent import maxent_burg, maxent_shannon, min_kl
@@ -51,6 +51,11 @@ _EPS = 1e-9
 KNOWN_DISCREPANCIES = {
     ("n2-a5", "multiplicity", "1", OLD): 0.6,
 }
+
+
+# Warnings that `reproduce` collects per table row and reports in one line each.
+_CELL_WARNINGS = {BudgetExhausted: "stopped at their evaluation budget",
+                  DegenerateWeights: "have degenerate Monte Carlo weights"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -410,13 +415,21 @@ def _cmd_reproduce(args) -> int:
     quad_budget = FAST_QUAD_BUDGET if fast else DEFAULT_QUAD_BUDGET
 
     computed = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BudgetExhausted)
-        for problem in selected:
-            ref = tables[problem]
-            computed[problem] = [
-                _compute_row(ref, row, budget, quad_budget, args.seed)
-                for row in ref.rows]
+    flagged = {category: {} for category in _CELL_WARNINGS}
+    for problem in selected:
+        ref = tables[problem]
+        computed[problem] = []
+        for ref_row in ref.rows:
+            with warnings.catch_warnings(record=True) as caught:
+                for category in _CELL_WARNINGS:
+                    warnings.simplefilter("always", category)
+                row = _compute_row(ref, ref_row, budget, quad_budget, args.seed)
+            computed[problem].append(row)
+            for w in caught:
+                if w.category in flagged:
+                    flagged[w.category][f"{problem} {_row_label(row)}"] = None
+                else:
+                    warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
     if args.format == "json":
         docs = []
@@ -448,6 +461,11 @@ def _cmd_reproduce(args) -> int:
     else:
         for problem in selected:
             print(_render_markdown(problem, tables[problem], computed[problem]))
+
+    for category, cells in flagged.items():
+        if cells:
+            print(f"warning: {len(cells)} row(s) {_CELL_WARNINGS[category]}: "
+                  + ", ".join(cells), file=sys.stderr)
 
     if not args.diff:
         return EXIT_OK

@@ -30,6 +30,11 @@ class BudgetExhausted(Warning):
     """An integrator stopped at its evaluation budget before reaching the target error."""
 
 
+class DegenerateWeights(Warning):
+    """Monte Carlo importance weights collapsed onto a few samples, so the
+    estimate and its stderr cannot be trusted."""
+
+
 class _Infinite:
     """Tagged infinity sentinel; deliberately not a float so callers must branch on it."""
 

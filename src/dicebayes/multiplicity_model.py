@@ -8,9 +8,14 @@ S(p, z) = sum_l p_l z^l and s = a*N,
     sum_nv multinomial(nv) prod_l p_l^{N_l}          = [z^s] S^N
     sum_nv multinomial(nv) (N_i/N) prod_l p_l^{N_l}  = p_i [z^s'] S^(N-1),  s' = s - i
 
-so each sample point costs one 6-term polynomial power instead of a loop over
-the constraint set. The per-point polynomial data depends only on (N, s), so it
-is cached and shared across L values and across old/new queries.
+so each sample point needs only the six coefficients s-6 .. s-1 of S^(N-1).
+The kernel builds S^(N-1) one factor at a time but keeps, after k factors,
+only the degrees max(k, s-6 - 6r) .. min(6k, s-1 - r) (r = N-1-k factors
+left) that can still reach those six. It runs on row blocks of a few thousand
+points with faces on the leading axis, so its coefficient rows stay in cache.
+The per-point data depends only on (N, s), so it is cached and shared across
+L values and across old/new queries; the log-weights of the latest L are
+cached beside it, shared by the old and new throw.
 
 In the large-N regime both old-throw and new-throw posteriors reduce to the
 same mean over the average slice of the simplex, weighted by the model's
@@ -19,16 +24,17 @@ density; johnson_large_n and multiplicity_large_n share one code path.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import (Average, ContradictoryData, DegeneratePolytope, Distribution,
-                   Exact, FairThrow, Johnson, LargeN, Multiplicity,
-                   PosteriorResult, Query, ANALYTIC_LIMIT, DETERMINISTIC_QUAD,
-                   MONTE_CARLO, NEW, OLD, N_FACES)
+from .core import (Average, ContradictoryData, DegeneratePolytope,
+                   DegenerateWeights, Distribution, Exact, FairThrow, Johnson,
+                   LargeN, Multiplicity, PosteriorResult, Query, ANALYTIC_LIMIT,
+                   DETERMINISTIC_QUAD, MONTE_CARLO, NEW, OLD, N_FACES)
 from .combinatorics import enumerate_constrained_frequencies
 from .maxent import maxent_burg, maxent_shannon, min_kl
 from .simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator,
@@ -52,20 +58,33 @@ class LargeNQuery:
 
 # --- finite-N kernel -------------------------------------------------------
 
-def _power_coeffs(p: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of (sum_l p_l z^l)^n for each row of p; shape (rows, 6n+1)."""
-    rows = p.shape[0]
-    if n == 0:
-        return np.ones((rows, 1))
-    cur = np.zeros((rows, 7))
-    cur[:, 1:] = p
-    for _ in range(n - 1):
-        deg = cur.shape[1] - 1
-        nxt = np.zeros((rows, deg + 7))
+# Points per block in the kernel: a block's few dozen coefficient rows then fit
+# in cache, where whole 200k-point batches spill to memory.
+_ROW_BLOCK = 2048
+
+
+def _power_window(pt: np.ndarray, m: int, lo: int, hi: int) -> np.ndarray:
+    """Coefficients lo..hi of (sum_l p_l z^l)^m, one row per degree.
+
+    `pt` holds the points with faces on the leading axis. After k factors only
+    the degrees from which lo..hi can still be reached by the remaining m - k
+    factors are kept; each step adds the six shifted products in face order.
+    """
+    if m == 0:
+        return np.ones((1, pt.shape[1]))
+    cur, c_lo = pt, 1
+    for k in range(2, m + 1):
+        r = m - k
+        n_lo, n_hi = max(k, lo - 6 * r), min(6 * k, hi - r)
+        c_hi = c_lo + cur.shape[0] - 1
+        nxt = np.zeros((n_hi - n_lo + 1, pt.shape[1]))
         for v in range(1, 7):
-            nxt[:, v:v + deg + 1] += cur * p[:, v - 1][:, None]
-        cur = nxt
-    return cur
+            d0, d1 = max(n_lo, c_lo + v), min(n_hi, c_hi + v)
+            if d0 <= d1:
+                shifted = cur[d0 - v - c_lo:d1 - v - c_lo + 1]
+                nxt[d0 - n_lo:d1 - n_lo + 1] += shifted * pt[v - 1]
+        cur, c_lo = nxt, n_lo
+    return cur[lo - c_lo:hi - c_lo + 1]
 
 
 def _finite_kernel(points: np.ndarray, n: int, s: int):
@@ -74,13 +93,19 @@ def _finite_kernel(points: np.ndarray, n: int, s: int):
     Returns (log_a, old_probs) with log_a = ln sum_nv multinomial prod p^N_l
     and old_probs_i = the multiplicity-weighted mean of N_i/N at fixed p.
     """
-    q = _power_coeffs(points, n - 1)
-    deg = q.shape[1] - 1
-    terms = np.zeros((points.shape[0], N_FACES))
-    for i in range(1, 7):
-        d = s - i
-        if 0 <= d <= deg:
-            terms[:, i - 1] = points[:, i - 1] * q[:, d]
+    m = n - 1
+    lo, hi = max(m, s - 6), min(6 * m, s - 1)     # the degrees of S^m read below
+    rows = points.shape[0]
+    terms = np.zeros((rows, N_FACES))
+    # S^0 = 1 and S^1 = S need no products: one pass over the batch, no copy
+    block = rows if m <= 1 else _ROW_BLOCK
+    for start in range(0, rows, block):
+        pt = points[start:start + block].T
+        if m > 1:
+            pt = np.ascontiguousarray(pt)
+        q = _power_window(pt, m, lo, hi)
+        for d in range(lo, hi + 1):
+            terms[start:start + block, s - d - 1] = pt[s - d - 1] * q[d - lo]
     a = terms.sum(axis=1)
     with np.errstate(divide="ignore"):
         log_a = np.log(a)
@@ -90,11 +115,28 @@ def _finite_kernel(points: np.ndarray, n: int, s: int):
     return log_a, old
 
 
+class _KernelBatches:
+    """Per-batch kernel data for one (N, s, seed, budget), plus the log-weights
+    of the latest (scale, base), which the old and new throw of one cell share."""
+
+    def __init__(self, batches):
+        self.batches = batches          # (points, log_a, old_probs) triples
+        self._weights_key = None
+        self._weights = None
+
+    def log_weights(self, scale: float, base: Optional[Distribution]):
+        if self._weights_key != (scale, base):
+            self._weights = [log_a + _multiplicity_log_density(pts, scale, base)
+                             for pts, log_a, _ in self.batches]
+            self._weights_key = (scale, base)
+        return self._weights
+
+
 _KERNEL_CACHE: dict = {}
 
 
-def _kernel_batches(n: int, s: int, seed: int, budget: int):
-    """Cached per-batch (points, log_a, old_probs) triples for one (N, s, seed).
+def _kernel_batches(n: int, s: int, seed: int, budget: int) -> _KernelBatches:
+    """Cached kernel batches for one (N, s, seed, budget).
 
     Only the most recent key is kept: the arrays are large and reuse happens
     when consecutive queries vary L or the throw kind at fixed data.
@@ -112,7 +154,7 @@ def _kernel_batches(n: int, s: int, seed: int, budget: int):
             batches.append((pts, log_a, old))
             remaining -= nb
             stream += 1
-        _KERNEL_CACHE[key] = batches
+        _KERNEL_CACHE[key] = _KernelBatches(batches)
     return _KERNEL_CACHE[key]
 
 
@@ -123,6 +165,11 @@ def _multiplicity_log_density(points: np.ndarray, scale: float,
     if base is not None:
         lw = lw + scale * (points @ np.log(np.asarray(base.probs)))
     return lw
+
+
+# Below this Kish effective sample size the Monte Carlo ratio and its stderr
+# rest on a handful of samples and are not reported as trustworthy.
+_MIN_ESS = 100
 
 
 def _finite_posterior(n: int, a: Average, scale: float,
@@ -137,11 +184,14 @@ def _finite_posterior(n: int, a: Average, scale: float,
     s = cs.target_sum
 
     if method == "mc":
+        kernel = _kernel_batches(n, s, seed, budget)
         acc = _MCAccumulator(N_FACES)
-        for pts, log_a, old in _kernel_batches(n, s, seed, budget):
-            logw = log_a + _multiplicity_log_density(pts, scale, base)
+        for (pts, _, old), logw in zip(kernel.batches, kernel.log_weights(scale, base)):
             acc.add(logw, old if throw == OLD else pts)
-        probs, stderr = acc.ratio()
+        probs, stderr, ess = acc.ratio()
+        if ess < _MIN_ESS:
+            warnings.warn(f"Monte Carlo weights are degenerate: effective sample size "
+                          f"{ess:.1f} of {acc.n} samples", DegenerateWeights)
         return PosteriorResult.from_distribution(
             Distribution.from_weights(probs), MONTE_CARLO, mc_stderr=stderr)
 

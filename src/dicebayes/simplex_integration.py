@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -172,12 +172,14 @@ class _MCAccumulator:
         self.s_xw2 += (xw * w[:, None]).sum(axis=0)
         self.s_x2w2 += (xw * xw).sum(axis=0)
 
-    def ratio(self) -> Tuple[np.ndarray, np.ndarray]:
+    def ratio(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """Ratio estimate, its delta-method stderr and the Kish effective
+        sample size (sum w)^2 / sum w^2."""
         if self.shift is None or self.s_w <= 0.0:
             raise ValueError("integrand vanished on every sample")
         r = self.s_xw / self.s_w
         var = np.maximum(self.s_x2w2 - 2.0 * r * self.s_xw2 + r * r * self.s_w2, 0.0)
-        return r, np.sqrt(var) / self.s_w
+        return r, np.sqrt(var) / self.s_w, self.s_w * self.s_w / self.s_w2
 
     def mean(self) -> Tuple[float, float]:
         """Plain mean of w over samples (normalized-measure integral) and its stderr."""
@@ -242,19 +244,12 @@ def _gm_rule(dim: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-class _Cell:
-    __slots__ = ("verts", "frac", "hi", "lo", "err")
-
-    def __init__(self, verts: np.ndarray, frac: float):
-        self.verts = verts
-        self.frac = frac
-        self.hi = None
-        self.lo = None
-        self.err = 0.0
+# Cells as (vertices (cells, m, 6), volume fractions (cells,)).
+_Cells = Tuple[np.ndarray, np.ndarray]
 
 
-def _bisect(cell: _Cell) -> Tuple[_Cell, _Cell]:
-    verts = cell.verts
+def _bisect(verts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Halve a cell across its longest edge (the first one, on ties)."""
     m = verts.shape[0]
     best, bi, bj = -1.0, 0, 1
     for i in range(m):
@@ -267,28 +262,37 @@ def _bisect(cell: _Cell) -> Tuple[_Cell, _Cell]:
     va[bi] = mid
     vb = verts.copy()
     vb[bj] = mid
-    return _Cell(va, cell.frac / 2.0), _Cell(vb, cell.frac / 2.0)
+    return va, vb
 
 
 class _DetState:
-    """Adaptive subdivision state shared by ratio and single-integral paths."""
+    """Adaptive subdivision state shared by ratio and single-integral paths.
 
-    def __init__(self, roots: List[_Cell], dim: int, fn, ncols: int):
+    The cells are parallel arrays: vertices, volume fractions, the high- and
+    low-degree rule values of (w, x*w), and the error indicator that orders
+    refinement.
+    """
+
+    def __init__(self, roots: _Cells, dim: int, fn, ncols: int):
         self.fn = fn
         self.ncols = ncols
         self.shift = None
         self.evaluations = 0
         self.nodes_hi, self.w_hi = _gm_rule(dim, 2)
         self.nodes_lo, self.w_lo = _gm_rule(dim, 1)
-        self.cells = roots
-        self._evaluate(self.cells)
+        verts, frac = roots
+        self.verts, self.frac = verts[:0], frac[:0]     # empty; _add appends the roots
+        self.hi = np.zeros((0, 1 + ncols))
+        self.lo = np.zeros((0, 1 + ncols))
+        self.err = np.zeros(0)
+        self._add(verts, frac)
 
-    def _evaluate(self, cells: List[_Cell]):
+    def _add(self, verts: np.ndarray, frac: np.ndarray):
+        """Evaluate the rules on new cells and append them."""
         nhi = self.nodes_hi.shape[0]
         nlo = self.nodes_lo.shape[0]
         pts = np.concatenate(
-            [np.concatenate([self.nodes_hi @ c.verts, self.nodes_lo @ c.verts])
-             for c in cells])
+            [np.concatenate([self.nodes_hi @ v, self.nodes_lo @ v]) for v in verts])
         logw, x = self.fn(pts)
         logw = np.asarray(logw, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -300,55 +304,54 @@ class _DetState:
                 self.shift = m
             elif m > self.shift + 200.0:
                 r = math.exp(self.shift - m)
-                for c in self.cells:
-                    if c.hi is not None:
-                        c.hi *= r
-                        c.lo *= r
-                for c in cells:
-                    if c.hi is not None:
-                        c.hi *= r
-                        c.lo *= r
+                self.hi *= r
+                self.lo *= r
                 self.shift = m
         shift = self.shift if self.shift is not None else 0.0
         w = np.where(np.isfinite(logw), np.exp(np.minimum(logw - shift, 700.0)), 0.0)
         cols = np.concatenate([w[:, None], x * w[:, None]], axis=1)  # (pts, 1+ncols)
         per = nhi + nlo
-        for k, c in enumerate(cells):
+        hi = np.empty((len(frac), 1 + self.ncols))
+        lo = np.empty_like(hi)
+        for k in range(len(frac)):
             block = cols[k * per:(k + 1) * per]
-            c.hi = self.w_hi @ block[:nhi]
-            c.lo = self.w_lo @ block[nhi:]
-            c.err = float(np.abs(c.hi - c.lo).max()) * c.frac
+            hi[k] = self.w_hi @ block[:nhi]
+            lo[k] = self.w_lo @ block[nhi:]
+        self.verts = np.concatenate([self.verts, verts])
+        self.frac = np.concatenate([self.frac, frac])
+        self.hi = np.concatenate([self.hi, hi])
+        self.lo = np.concatenate([self.lo, lo])
+        self.err = np.concatenate([self.err, np.abs(hi - lo).max(axis=1) * frac])
 
     def totals(self) -> Tuple[np.ndarray, np.ndarray]:
-        tot = np.zeros(1 + self.ncols)
-        err = np.zeros(1 + self.ncols)
-        for c in self.cells:
-            tot += c.frac * c.hi
-            err += c.frac * np.abs(c.hi - c.lo)
-        return tot, err
+        return self.frac @ self.hi, self.frac @ np.abs(self.hi - self.lo)
 
     def refine_wave(self, max_cells: int = 32):
-        self.cells.sort(key=lambda c: c.err, reverse=True)
-        wave = self.cells[:max_cells]
-        rest = self.cells[max_cells:]
-        children: List[_Cell] = []
-        for c in wave:
-            children.extend(_bisect(c))
-        self._evaluate(children)
-        self.cells = rest + children
+        """Bisect the cells with the largest error indicators (earlier cells
+        first on ties); the rest keep their order, the children go last."""
+        order = np.argsort(-self.err, kind="stable")
+        wave, rest = order[:max_cells], order[max_cells:]
+        children = np.stack([half for i in wave for half in _bisect(self.verts[i])])
+        frac = np.repeat(self.frac[wave] / 2.0, 2)
+        self.verts = self.verts[rest]
+        self.frac = self.frac[rest]
+        self.hi = self.hi[rest]
+        self.lo = self.lo[rest]
+        self.err = self.err[rest]
+        self._add(children, frac)
 
 
-def _simplex_roots() -> List[_Cell]:
-    return [_Cell(np.eye(N_FACES), 1.0)]
+def _simplex_roots() -> _Cells:
+    return np.eye(N_FACES)[None], np.ones(1)
 
 
-def _polytope_roots(poly: ConstraintPolytope) -> List[_Cell]:
+def _polytope_roots(poly: ConstraintPolytope) -> _Cells:
     varr = poly.vertex_array()
-    return [_Cell(varr[list(s)].copy(), frac)
-            for s, frac in zip(poly.simplices, poly.relative_volumes)]
+    return (np.stack([varr[list(s)] for s in poly.simplices]),
+            np.asarray(poly.relative_volumes, dtype=float))
 
 
-def _det_ratio(roots: List[_Cell], dim: int, fn, budget: int,
+def _det_ratio(roots: _Cells, dim: int, fn, budget: int,
                atol: float) -> Tuple[np.ndarray, np.ndarray, int, bool]:
     state = _DetState(roots, dim, fn, N_FACES)
     while True:
@@ -371,7 +374,7 @@ def _det_ratio(roots: List[_Cell], dim: int, fn, budget: int,
     return ratio, rerr, state.evaluations, False
 
 
-def _det_integral(roots: List[_Cell], dim: int, log_integrand, budget: int,
+def _det_integral(roots: _Cells, dim: int, log_integrand, budget: int,
                   rel_tol: Optional[float]) -> QuadratureEstimate:
     def fn(pts):
         return log_integrand(pts), np.zeros((pts.shape[0], 0))
@@ -454,7 +457,7 @@ def posterior_mean_simplex(fn, budget: int = 2_000_000, seed: int = DEFAULT_SEED
     """
     if method == "mc":
         acc = _mc_run(sample_simplex_uniform, fn, budget, seed, N_FACES)
-        r, se = acc.ratio()
+        r, se, _ = acc.ratio()
         return r, se, acc.n
     if method == "deterministic":
         r, se, evals, _ = _det_ratio(_simplex_roots(), 5, fn, budget, atol)
@@ -471,7 +474,7 @@ def posterior_mean_polytope(poly: ConstraintPolytope, fn, budget: int = 2_000_00
             return sample_polytope_uniform(poly, rng, count)
 
         acc = _mc_run(sampler, fn, budget, seed, N_FACES)
-        r, se = acc.ratio()
+        r, se, _ = acc.ratio()
         return r, se, acc.n
     if method == "deterministic":
         r, se, evals, _ = _det_ratio(_polytope_roots(poly), 4, fn, budget, atol)

@@ -75,6 +75,13 @@ class TestReproduce:
         assert main(["reproduce", "--only", "n1-a6", "--diff"]) == 0
         assert "0 deviation(s)" in capsys.readouterr().out
 
+    def test_budget_stops_reported_on_stderr(self, capsys):
+        assert main(["reproduce", "--only", "large-a5", "--fast"]) == 0
+        err = capsys.readouterr().err
+        line, = [l for l in err.splitlines() if "evaluation budget" in l]
+        assert set(line.rpartition(": ")[2].split(", ")) == {
+            "large-a5 Johnson K=5", "large-a5 Johnson K=50"}
+
     def test_unknown_problem_is_usage_error(self):
         assert main(["reproduce", "--only", "n3-a9"]) == 3
 

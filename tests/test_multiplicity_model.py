@@ -6,12 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dicebayes import (Average, BudgetExhausted, ContradictoryData, Distribution,
-                       Exact, FairThrow, Johnson, LargeN, Multiplicity, Query,
-                       NEW, OLD, asymptotic_dispatch, fair_posterior,
-                       generalized_multiplicity_posterior, johnson_large_n,
-                       maxent_burg, maxent_shannon, min_kl, multiplicity_large_n,
-                       multiplicity_posterior)
+from numpy.polynomial import polynomial
+
+from dicebayes import (Average, BudgetExhausted, ContradictoryData,
+                       DegenerateWeights, Distribution, Exact, FairThrow, Johnson,
+                       LargeN, Multiplicity, Query, NEW, OLD, asymptotic_dispatch,
+                       fair_posterior, generalized_multiplicity_posterior,
+                       johnson_large_n, maxent_burg, maxent_shannon, min_kl,
+                       multiplicity_large_n, multiplicity_posterior)
+from dicebayes.cli import main
+from dicebayes.multiplicity_model import _ROW_BLOCK, _finite_kernel
+from dicebayes.simplex_integration import make_rng, sample_simplex_uniform
 
 A5 = Average(Fraction(5))
 A35 = Average(Fraction(7, 2))
@@ -19,6 +24,35 @@ A35 = Average(Fraction(7, 2))
 
 def max_dev(dist, other):
     return max(abs(p - q) for p, q in zip(dist, other))
+
+
+def reference_kernel(p, n, s):
+    """(a, old_probs) for one point from the full power polynomial."""
+    q = polynomial.polypow(np.concatenate([[0.0], p]), n - 1)
+    terms = np.array([p[i - 1] * q[s - i] if 0 <= s - i < len(q) else 0.0
+                      for i in range(1, 7)])
+    return terms.sum(), terms / terms.sum()
+
+
+class TestFiniteKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+    def test_matches_full_power_polynomial(self, n):
+        pts = sample_simplex_uniform(make_rng(7), 40)
+        for s in range(n, 6 * n + 1):
+            log_a, old = _finite_kernel(pts, n, s)
+            for p, la, o in zip(pts, log_a, old):
+                a_ref, old_ref = reference_kernel(p, n, s)
+                # an absolute tolerance on ln(a) is a relative one on a
+                assert la == pytest.approx(math.log(a_ref), rel=0, abs=1e-12)
+                np.testing.assert_allclose(o, old_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, s", [(2, 7), (6, 30), (12, 42)])
+    def test_row_blocks_do_not_change_values(self, n, s):
+        pts = sample_simplex_uniform(make_rng(11), _ROW_BLOCK + 1)
+        log_a, old = _finite_kernel(pts, n, s)
+        rows = [_finite_kernel(pts[i:i + 1], n, s) for i in range(pts.shape[0])]
+        assert np.array_equal(log_a, np.concatenate([r[0] for r in rows]))
+        assert np.array_equal(old, np.concatenate([r[1] for r in rows]))
 
 
 class TestFinitePosterior:
@@ -69,6 +103,17 @@ class TestFinitePosterior:
         gen = generalized_multiplicity_posterior(2, A5, 3.0, base, NEW,
                                                  budget=400_000)
         assert max_dev(plain.distribution, gen.distribution) < 2e-3
+
+    def test_collapsed_weights_warn(self):
+        # at L = 1e6 the importance weights sit on about one sample
+        with pytest.warns(DegenerateWeights):
+            assert main(["eval", "--n", "2", "--avg", "5", "--model", "multiplicity",
+                         "--param", "1000000", "--throw", "old"]) == 0
+
+    def test_table_cell_weights_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateWeights)
+            multiplicity_posterior(12, A5, 50.0, OLD, budget=400_000)
 
     def test_face_reversal_symmetry(self):
         fwd = multiplicity_posterior(2, A5, 1.0, OLD, budget=400_000)

@@ -11,7 +11,8 @@ from dicebayes import (Average, BudgetExhausted, DegeneratePolytope,
                        build_constraint_polytope, dirichlet_beta_integral,
                        integrate_polytope, integrate_simplex,
                        sample_polytope_uniform, sample_simplex_uniform)
-from dicebayes.simplex_integration import (make_rng, posterior_mean_polytope,
+from dicebayes.simplex_integration import (_MCAccumulator, make_rng,
+                                           posterior_mean_polytope,
                                            posterior_mean_simplex)
 
 
@@ -155,3 +156,13 @@ class TestRatioEstimators:
         _, small, _ = posterior_mean_simplex(self.weighted(0.0), budget=20_000, seed=1)
         _, large, _ = posterior_mean_simplex(self.weighted(0.0), budget=1_280_000, seed=1)
         assert large.max() < small.max() / 4
+
+    def test_effective_sample_size(self):
+        # equal weights keep every sample; one dominant weight keeps about one
+        x = np.zeros((1000, 6))
+        acc = _MCAccumulator(6)
+        acc.add(np.full(1000, -3.0), x)
+        assert acc.ratio()[2] == pytest.approx(1000.0)
+        acc = _MCAccumulator(6)
+        acc.add(np.concatenate([[0.0], np.full(999, -50.0)]), x)
+        assert acc.ratio()[2] == pytest.approx(1.0, abs=1e-12)
