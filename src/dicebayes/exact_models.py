@@ -1,15 +1,12 @@
 """Closed-form posteriors for the fair-throw and (generalized) Johnson models."""
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
+from scipy.special import gammaln
 
-from .core import (Average, ContradictoryData, Distribution, FrequencyVector,
-                   PosteriorResult, CLOSED_FORM, OLD, NEW, N_FACES)
-from .combinatorics import (ConstraintSet, enumerate_constrained_frequencies,
-                            log_gamma_factorial, log_multinomial)
+from .core import (Average, Distribution, FrequencyVector, PosteriorResult,
+                   CLOSED_FORM, OLD, NEW, N_FACES)
+from .combinatorics import _pip_total, enumerate_constrained_frequencies
 
 
 def conditional_old_given_frequency(nv: FrequencyVector, face: int) -> float:
@@ -21,51 +18,48 @@ def conditional_old_given_frequency(nv: FrequencyVector, face: int) -> float:
     return nv[face - 1] / nv.total
 
 
-def _weighted_posterior(cs: ConstraintSet, log_weights, per_member_probs) -> Distribution:
+def _weighted_posterior(log_weights: np.ndarray, per_member_probs: np.ndarray) -> Distribution:
     """Normalized weighted mean of per-member 6-vectors, combined in log domain."""
-    lw = np.asarray(log_weights, dtype=float)
-    w = np.exp(lw - lw.max())
-    probs = np.asarray(per_member_probs, dtype=float)  # (members, 6)
-    out = w @ probs / w.sum()
-    return Distribution.from_weights(out)
+    w = np.exp(log_weights - log_weights.max())
+    return Distribution.from_weights(w @ per_member_probs / w.sum())
 
 
-def _require_nonempty(cs: ConstraintSet, n: int, a: Average) -> None:
-    if cs.is_empty():
-        raise ContradictoryData(f"no frequency vector realizes average {a} over {n} throws")
+def _members(n: int, a: Average) -> np.ndarray:
+    """(members, 6) counts of the frequency vectors realizing average a."""
+    _pip_total(n, a)
+    return enumerate_constrained_frequencies(n, a).counts
 
 
 def fair_posterior(n: int, a: Average, throw: str) -> PosteriorResult:
     """Fair-throw model: multiplicity-weighted mean for old throws, uniform for new."""
-    cs = enumerate_constrained_frequencies(n, a)
-    _require_nonempty(cs, n, a)
+    counts = _members(n, a)
     if throw == NEW:
         return PosteriorResult.from_distribution(Distribution.uniform(), CLOSED_FORM)
-    lw = [log_multinomial(nv) for nv in cs]
-    probs = [[c / n for c in nv] for nv in cs]
-    return PosteriorResult.from_distribution(_weighted_posterior(cs, lw, probs), CLOSED_FORM)
+    # ln N! is common to every member and cancels in the normalization;
+    # ln c! is tabulated over c = 0..n and gathered per member and face
+    lw = -gammaln(np.arange(n + 1) + 1.0)[counts].sum(axis=1)
+    return PosteriorResult.from_distribution(_weighted_posterior(lw, counts / n), CLOSED_FORM)
 
 
-def _johnson_result(cs: ConstraintSet, n: int, pseudo, throw: str) -> PosteriorResult:
+def _johnson_result(counts: np.ndarray, n: int, pseudo, throw: str) -> PosteriorResult:
     """Common path: per-face pseudo-counts `pseudo` (length 6), weights
     prod Gamma(N_l + pseudo_l) / N_l!."""
-    total_pseudo = sum(pseudo)
-    lw = [sum(math.lgamma(c + k) - log_gamma_factorial(c) for c, k in zip(nv, pseudo))
-          for nv in cs]
+    pseudo = np.asarray(pseudo, dtype=float)
+    c = np.arange(n + 1)
+    table = gammaln(c[:, None] + pseudo) - gammaln(c + 1.0)[:, None]  # (n+1, 6)
+    lw = table[counts, np.arange(N_FACES)].sum(axis=1)
     if throw == OLD:
-        probs = [[c / n for c in nv] for nv in cs]
+        probs = counts / n
     else:
-        probs = [[(c + k) / (n + total_pseudo) for c, k in zip(nv, pseudo)] for nv in cs]
-    return PosteriorResult.from_distribution(_weighted_posterior(cs, lw, probs), CLOSED_FORM)
+        probs = (counts + pseudo) / (n + pseudo.sum())
+    return PosteriorResult.from_distribution(_weighted_posterior(lw, probs), CLOSED_FORM)
 
 
 def johnson_posterior(n: int, a: Average, concentration: float, throw: str) -> PosteriorResult:
     """Symmetric Johnson (Dirichlet) model, pseudo-count `concentration` per face."""
     if not concentration > 0:
         raise ValueError("concentration must be > 0")
-    cs = enumerate_constrained_frequencies(n, a)
-    _require_nonempty(cs, n, a)
-    return _johnson_result(cs, n, (concentration,) * N_FACES, throw)
+    return _johnson_result(_members(n, a), n, (concentration,) * N_FACES, throw)
 
 
 def generalized_johnson_posterior(n: int, a: Average, concentration: float,
@@ -82,7 +76,5 @@ def generalized_johnson_posterior(n: int, a: Average, concentration: float,
         if throw == OLD:
             raise ValueError("with no data there is no old throw to ask about")
         return PosteriorResult.from_distribution(base, CLOSED_FORM)
-    cs = enumerate_constrained_frequencies(n, a)
-    _require_nonempty(cs, n, a)
     pseudo = tuple(concentration * p for p in base)
-    return _johnson_result(cs, n, pseudo, throw)
+    return _johnson_result(_members(n, a), n, pseudo, throw)

@@ -31,11 +31,11 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import gammaln
 
-from .core import (Average, ContradictoryData, DegeneratePolytope,
-                   DegenerateWeights, Distribution, Exact, FairThrow, Johnson,
-                   LargeN, Multiplicity, PosteriorResult, Query, ANALYTIC_LIMIT,
-                   DETERMINISTIC_QUAD, MONTE_CARLO, NEW, OLD, N_FACES)
-from .combinatorics import enumerate_constrained_frequencies
+from .core import (Average, DegeneratePolytope, DegenerateWeights, Distribution,
+                   Exact, FairThrow, Johnson, LargeN, Multiplicity, PosteriorResult,
+                   Query, ANALYTIC_LIMIT, DETERMINISTIC_QUAD, MONTE_CARLO, NEW, OLD,
+                   N_FACES)
+from .combinatorics import _pip_total
 from .maxent import maxent_burg, maxent_shannon, min_kl
 from .simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator,
                                   build_constraint_polytope, make_rng,
@@ -177,11 +177,7 @@ def _finite_posterior(n: int, a: Average, scale: float,
                       budget: int, seed: int, method: str) -> PosteriorResult:
     if not (scale >= 1 and math.isfinite(scale)):
         raise ValueError("multiplicity scale must be a finite real >= 1")
-    cs = enumerate_constrained_frequencies(n, a)
-    if cs.is_empty():
-        raise ContradictoryData(
-            f"no frequency vector realizes average {a} over {n} throws")
-    s = cs.target_sum
+    s = _pip_total(n, a)
 
     if method == "mc":
         kernel = _kernel_batches(n, s, seed, budget)

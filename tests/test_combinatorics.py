@@ -1,4 +1,5 @@
 """Exact enumeration, multinomial weights, and the real-argument factorial."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from dicebayes import (Average, FrequencyVector, count_sequences,
                        enumerate_constrained_frequencies, log_gamma_factorial,
                        log_multinomial, multinomial_exact, shannon_entropy)
+from dicebayes.core import FACE_VALUES
 
 
 def members(n, a):
@@ -42,6 +44,42 @@ class TestEnumeration:
         for nv in cs:
             assert nv.total == 7
             assert nv.pip_sum() == 24
+
+
+class TestCountsArray:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_brute_force_filter(self, n):
+        # itertools.product runs in lexicographic order, so the filtered
+        # tuples are already in the enumerator's order
+        by_sum = {}
+        for counts in itertools.product(range(n + 1), repeat=6):
+            if sum(counts) == n:
+                s = sum(v * c for v, c in zip(FACE_VALUES, counts))
+                by_sum.setdefault(s, []).append(counts)
+        for s in range(n, 6 * n + 1):
+            cs = enumerate_constrained_frequencies(n, Average(Fraction(s, n)))
+            assert cs.counts.dtype == np.int64
+            assert np.array_equal(cs.counts, np.array(by_sum[s]).reshape(-1, 6))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 20])
+    def test_rows_increase_and_satisfy_constraints(self, n):
+        for s in range(n, 6 * n + 1):
+            cs = enumerate_constrained_frequencies(n, Average(Fraction(s, n)))
+            c = cs.counts
+            assert len(cs) == c.shape[0] >= 1
+            assert np.all(c.sum(axis=1) == n)
+            assert np.all(c @ np.array(FACE_VALUES) == s)
+            assert np.all(c >= 0)
+            # strictly increasing: the first column where neighbours differ grows
+            step = np.diff(c, axis=0)
+            first = np.argmax(step != 0, axis=1)
+            assert np.all(step[np.arange(step.shape[0]), first] > 0)
+
+    def test_empty_set_has_no_rows(self):
+        cs = enumerate_constrained_frequencies(3, Average(Fraction(7, 2)))
+        assert cs.is_empty()
+        assert cs.counts.shape == (0, 6)
+        assert list(cs) == []
 
 
 class TestMultinomial:

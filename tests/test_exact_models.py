@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dicebayes import (Average, ContradictoryData, Distribution, FrequencyVector,
-                       NEW, OLD, conditional_old_given_frequency, fair_posterior,
-                       generalized_johnson_posterior, johnson_posterior)
+                       NEW, OLD, conditional_old_given_frequency, count_sequences,
+                       fair_posterior, generalized_johnson_posterior, johnson_posterior)
 from dicebayes.oracle import brute_force_fair, brute_force_fair_literal, exact_johnson
 
 
@@ -104,6 +105,33 @@ class TestJohnsonPosterior:
         base = Distribution.from_weights((1, 2, 3, 4, 5, 6))
         res = generalized_johnson_posterior(0, Average(Fraction(5)), 2.0, base, NEW)
         assert_close(res, base.probs, tol=1e-12)
+
+
+def throws_and_pip_sum(min_n, max_n):
+    """(n, s) with n throws in [min_n, max_n] and a pip sum s they can reach."""
+    return st.integers(min_n, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(n, 6 * n)))
+
+
+class TestAgainstExactCounts:
+    @given(throws_and_pip_sum(2, 60))
+    def test_fair_old_is_a_ratio_of_sequence_counts(self, case):
+        # the fair old-throw share of face i is the fraction of the equally
+        # likely ordered outcomes with pip sum s whose first throw shows i
+        n, s = case
+        res = fair_posterior(n, Average(Fraction(s, n)), OLD)
+        total = count_sequences(n, s)
+        for i, got in enumerate(res.distribution, start=1):
+            assert got == pytest.approx(count_sequences(n - 1, s - i) / total,
+                                        rel=0, abs=1e-12)
+
+    @given(throws_and_pip_sum(1, 10), st.integers(1, 60), st.sampled_from((OLD, NEW)))
+    def test_johnson_integer_concentration_matches_oracle(self, case, k, throw):
+        n, s = case
+        a = Average(Fraction(s, n))
+        res = johnson_posterior(n, a, float(k), throw)
+        for got, want in zip(res.distribution, exact_johnson(n, a, k, throw)):
+            assert got == pytest.approx(float(want), rel=1e-12, abs=1e-15)
 
 
 class TestFaceReversalSymmetry:

@@ -72,9 +72,14 @@ class TestFinitePosterior:
         # distribution and the posterior approaches the fair-throw one
         fair = fair_posterior(2, A5, OLD).distribution
         devs = []
-        for scale in (1.0, 5.0, 50.0, 500.0):
-            res = multiplicity_posterior(2, A5, scale, OLD, budget=400_000)
-            devs.append(max_dev(res.distribution, fair))
+        # at L=500 the weights concentrate near the uniform point: 400k samples
+        # leave an effective sample size of about 19, 2M clear the ESS check
+        budgets = {1.0: 400_000, 5.0: 400_000, 50.0: 400_000, 500.0: 2_000_000}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateWeights)
+            for scale, budget in budgets.items():
+                res = multiplicity_posterior(2, A5, scale, OLD, budget=budget)
+                devs.append(max_dev(res.distribution, fair))
         assert devs == sorted(devs, reverse=True)
         assert devs[-1] < 0.01
 
