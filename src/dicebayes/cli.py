@@ -12,18 +12,15 @@ import sys
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .core import (Average, BudgetExhausted, ContradictoryData, DegenerateWeights,
                    Distribution, Exact, FairThrow, Johnson, LargeN, Multiplicity, Query,
-                   PosteriorResult, ANALYTIC_LIMIT, NEW, OLD, shannon_entropy)
-from .exact_models import fair_posterior, generalized_johnson_posterior, johnson_posterior
+                   PosteriorResult, NEW, OLD, shannon_entropy)
 from .maxent import maxent_burg, maxent_shannon, min_kl
-from .multiplicity_model import (asymptotic_dispatch, generalized_multiplicity_posterior,
-                                 johnson_large_n, multiplicity_large_n,
-                                 multiplicity_posterior)
-from .reference import (ReferenceCell, ReferenceRow, ReferenceTable,
-                        UNIFORM_ANY_A, load_reference_tables, parse_problem_id)
+from .posterior import _limit, posterior
+from .reference import (ReferenceRow, ReferenceTable, UNIFORM_ANY_A,
+                        load_reference_tables)
 
 EXIT_OK = 0
 EXIT_DIFF = 1
@@ -96,67 +93,42 @@ def _parse_base(text: str) -> Distribution:
 def _eval_query(args) -> PosteriorResult:
     a = Average.parse(args.avg)
     base = _parse_base(args.m) if args.m else None
-    throw = args.throw
-    seed = args.seed
-    budget = args.budget
 
     if args.model == "maxent-shannon":
-        return PosteriorResult.from_distribution(maxent_shannon(a).distribution,
-                                                 ANALYTIC_LIMIT)
+        return _limit(maxent_shannon(a).distribution)
     if args.model == "maxent-burg":
-        return PosteriorResult.from_distribution(maxent_burg(a).distribution,
-                                                 ANALYTIC_LIMIT)
+        return _limit(maxent_burg(a).distribution)
     if args.model == "min-kl":
         if base is None:
             raise _UsageError("--model min-kl requires --m")
-        return PosteriorResult.from_distribution(min_kl(a, base).distribution,
-                                                 ANALYTIC_LIMIT)
+        return _limit(min_kl(a, base).distribution)
 
-    if throw is None:
+    if args.throw is None:
         raise _UsageError(f"--model {args.model} requires --throw")
-    param_large = args.param == "large"
-    param = None if args.param is None or param_large else float(args.param)
+    # math.inf marks the 'parameter large' regime, so a number must be finite
+    param = None
+    if args.param == "large":
+        param = math.inf
+    elif args.param is not None:
+        param = float(args.param)
+        if not math.isfinite(param):
+            raise _UsageError("--param must be a finite number or 'large'")
 
     if args.model == "fair":
-        if args.large_n:
-            return asymptotic_dispatch(Query(LargeN(), a, throw, FairThrow()))
-        return fair_posterior(args.n, a, throw)
-
-    if param is None and not param_large:
+        model = FairThrow()
+    elif param is None:
         raise _UsageError(f"--model {args.model} requires --param")
-
-    ratio = None
-    if args.n_over_param:
-        ratio = args.n_over_param == "large"
-
-    if args.model == "johnson":
-        if args.large_n:
-            if param_large:
-                return asymptotic_dispatch(
-                    Query(LargeN(ratio), a, throw, Johnson(math.inf, base)))
-            return johnson_large_n(a, param, base,
-                                   budget=budget or DEFAULT_QUAD_BUDGET, seed=seed)
-        if param_large:
-            return asymptotic_dispatch(
-                Query(Exact(args.n), a, throw, Johnson(math.inf, base)))
-        if base is not None:
-            return generalized_johnson_posterior(args.n, a, param, base, throw)
-        return johnson_posterior(args.n, a, param, throw)
-
-    # multiplicity
+    elif args.model == "johnson":
+        model = Johnson(param, base)
+    else:
+        model = Multiplicity(param, base)
     if args.large_n:
-        if param_large:
-            return asymptotic_dispatch(
-                Query(LargeN(ratio), a, throw, Multiplicity(math.inf, base)))
-        return multiplicity_large_n(a, param, base,
-                                    budget=budget or DEFAULT_QUAD_BUDGET, seed=seed)
-    if param_large:
-        return asymptotic_dispatch(
-            Query(Exact(args.n), a, throw, Multiplicity(math.inf, base)))
-    kwargs = dict(budget=budget or DEFAULT_BUDGET, seed=seed)
-    if base is not None:
-        return generalized_multiplicity_posterior(args.n, a, param, base, throw, **kwargs)
-    return multiplicity_posterior(args.n, a, param, throw, **kwargs)
+        ratio = None if args.n_over_param is None else args.n_over_param == "large"
+        regime = LargeN(ratio)
+    else:
+        regime = Exact(args.n)
+    return posterior(Query(regime, a, args.throw, model),
+                     budget=args.budget or None, seed=args.seed)
 
 
 class _UsageError(Exception):
@@ -199,7 +171,7 @@ def _cmd_eval(args) -> int:
 
 # --- reproduce ------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ComputedCell:
     result: Optional[PosteriorResult]   # None when undefined
     annotation: Optional[str] = None
@@ -212,109 +184,67 @@ class ComputedRow:
     param: Optional[str]
     old: ComputedCell
     new: ComputedCell
-    spans: bool = False
 
 
-def _undefined_cell() -> ComputedCell:
-    return ComputedCell(None)
+_UNIFORM_CELL = ComputedCell(_limit(Distribution.uniform()), UNIFORM_ANY_A, True)
+
+# Row parameters that mark both N and the model parameter large, and whether
+# N / parameter is large
+_RATIO_LARGE = {"large-ratio-small": False, "large-ratio-large": True}
 
 
-def _as_cell(result: PosteriorResult, annotation=None, uniform_any_a=False) -> ComputedCell:
-    return ComputedCell(result, annotation, uniform_any_a)
-
-
-def _uniform_cell() -> ComputedCell:
-    return _as_cell(PosteriorResult.from_distribution(Distribution.uniform(),
-                                                      ANALYTIC_LIMIT),
-                    annotation=UNIFORM_ANY_A, uniform_any_a=True)
+def _row_model(model: str, param: Optional[str]):
+    if model == "fair":
+        return FairThrow()
+    value = math.inf if param in ("large", *_RATIO_LARGE) else float(param)
+    return Johnson(value) if model == "johnson" else Multiplicity(value)
 
 
 def _compute_row(ref: ReferenceTable, row: ReferenceRow, budget: int,
                  quad_budget: int, seed: int) -> ComputedRow:
-    a = ref.average
-    n = ref.n
     model, param = row.model, row.param
-
-    def guarded(fn):
-        try:
-            return _as_cell(fn())
-        except ContradictoryData:
-            return _undefined_cell()
-
     if model == "me":
-        cell = _as_cell(PosteriorResult.from_distribution(
-            maxent_shannon(a).distribution, ANALYTIC_LIMIT))
-        return ComputedRow(model, param, cell, cell, spans=True)
-
+        cell = ComputedCell(_limit(maxent_shannon(ref.average).distribution))
+        return ComputedRow(model, param, cell, cell)
     if model == "all-exchangeable":
-        return ComputedRow(model, param, _undefined_cell(), _undefined_cell())
+        return ComputedRow(model, param, ComputedCell(None), ComputedCell(None))
 
-    if n is not None:
-        if model == "fair":
-            return ComputedRow(model, param,
-                               guarded(lambda: fair_posterior(n, a, OLD)),
-                               _uniform_cell())
-        if param == "large":
-            spec = (Johnson(math.inf) if model == "johnson"
-                    else Multiplicity(math.inf))
-            old = guarded(lambda: asymptotic_dispatch(Query(Exact(n), a, OLD, spec)))
-            old.annotation = row.old.annotation
-            return ComputedRow(model, param, old, _uniform_cell())
-        value = float(param)
-        if model == "johnson":
-            return ComputedRow(model, param,
-                               guarded(lambda: johnson_posterior(n, a, value, OLD)),
-                               guarded(lambda: johnson_posterior(n, a, value, NEW)))
-        return ComputedRow(
-            model, param,
-            guarded(lambda: multiplicity_posterior(n, a, value, OLD,
-                                                   budget=budget, seed=seed)),
-            guarded(lambda: multiplicity_posterior(n, a, value, NEW,
-                                                   budget=budget, seed=seed)))
-
-    # large-N tables
-    if model == "fair":
-        old = _as_cell(asymptotic_dispatch(Query(LargeN(), a, OLD, FairThrow())),
-                       annotation=row.old.annotation)
-        return ComputedRow(model, param, old, _uniform_cell())
-    if param in ("1", "5", "50"):
-        value = float(param)
-        if model == "johnson":
-            res = johnson_large_n(a, value, budget=quad_budget, seed=seed)
+    if ref.is_large_n:
+        regime, budget = LargeN(_RATIO_LARGE.get(param)), quad_budget
+    else:
+        regime = Exact(ref.n)
+    spec = _row_model(model, param)
+    cells = []
+    for throw, ref_cell in ((OLD, row.old), (NEW, row.new)):
+        if ref_cell.uniform_any_a:
+            cells.append(_UNIFORM_CELL)
+            continue
+        if cells and ref.is_large_n:
+            # at large N an old and a new throw have the same posterior
+            result = cells[0].result
         else:
-            res = multiplicity_large_n(a, value, budget=quad_budget, seed=seed)
-        cell = _as_cell(res)
-        return ComputedRow(model, param, cell, ComputedCell(res))
-    spec = (Johnson(math.inf) if model == "johnson" else Multiplicity(math.inf))
-    ratio = param == "large-ratio-large"
-    if not ratio:
-        old = _as_cell(asymptotic_dispatch(Query(LargeN(False), a, OLD, spec)),
-                       annotation=row.old.annotation)
-        return ComputedRow(model, param, old, _uniform_cell())
-    res = asymptotic_dispatch(Query(LargeN(True), a, OLD, spec))
-    note = row.old.annotation
-    return ComputedRow(model, param, _as_cell(res, note), _as_cell(res, note))
+            try:
+                result = posterior(Query(regime, ref.average, throw, spec),
+                                   budget=budget, seed=seed)
+            except ContradictoryData:
+                result = None
+        cells.append(ComputedCell(result, ref_cell.annotation))
+    return ComputedRow(model, param, *cells)
 
 
 _ROW_LABELS = {"me": "ME", "fair": "fair-throw", "johnson": "Johnson",
                "multiplicity": "multiplicity", "all-exchangeable": "all exch. models"}
+_PARAM_LABELS = {"large": " {0} large",
+                 "large-ratio-small": " {0} large, N/{0} small",
+                 "large-ratio-large": " {0} large, N/{0} large"}
 
 
 def _row_label(row: ComputedRow) -> str:
     label = _ROW_LABELS[row.model]
-    if row.param in ("1", "5", "50"):
-        sym = "K" if row.model == "johnson" else "L"
-        label += f" {sym}={row.param}"
-    elif row.param == "large":
-        sym = "K" if row.model == "johnson" else "L"
-        label += f" {sym} large"
-    elif row.param == "large-ratio-small":
-        sym = "K" if row.model == "johnson" else "L"
-        label += f" {sym} large, N/{sym} small"
-    elif row.param == "large-ratio-large":
-        sym = "K" if row.model == "johnson" else "L"
-        label += f" {sym} large, N/{sym} large"
-    return label
+    if row.param is None:
+        return label
+    sym = "K" if row.model == "johnson" else "L"
+    return label + _PARAM_LABELS.get(row.param, " {0}=" + row.param).format(sym)
 
 
 def _cell_text(cell: ComputedCell) -> str:

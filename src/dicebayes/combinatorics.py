@@ -1,7 +1,6 @@
-"""Exact enumeration of average-constrained frequency vectors and multinomial weights."""
+"""Exact enumeration of average-constrained frequency vectors."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,41 +82,3 @@ def enumerate_constrained_frequencies(n: int, a: Average) -> ConstraintSet:
     except ContradictoryData:
         return ConstraintSet(n, -1, np.zeros((0, N_FACES), dtype=np.int64))
     return ConstraintSet(n, s, _constrained_counts(n, s))
-
-
-def log_gamma_factorial(x: float) -> float:
-    """ln Gamma(x + 1), the real-argument factorial in log domain."""
-    if x < 0:
-        raise ValueError(f"factorial argument must be >= 0, got {x}")
-    return math.lgamma(x + 1.0)
-
-
-def log_multinomial(nv: FrequencyVector) -> float:
-    """ln( N! / prod N_i! )."""
-    return log_gamma_factorial(nv.total) - sum(log_gamma_factorial(c) for c in nv)
-
-
-def multinomial_exact(nv: FrequencyVector) -> int:
-    """Integer multinomial coefficient, used as an exact oracle."""
-    out = math.factorial(nv.total)
-    for c in nv:
-        out //= math.factorial(c)
-    return out
-
-
-def count_sequences(n: int, s: int) -> int:
-    """Number of ordered n-tuples over {1..6} summing to s, by exact big-int DP."""
-    if n < 1:
-        raise ValueError("need at least one throw")
-    if not n <= s <= 6 * n:
-        return 0
-    ways = [1]  # ways[t] = sequences of throws so far summing to t (offset by min sum)
-    for throws in range(1, n + 1):
-        new = [0] * (5 * throws + 1)
-        for t, w in enumerate(ways):
-            if w:
-                for v in range(6):
-                    new[t + v] += w
-        ways = new
-    idx = s - n
-    return ways[idx] if 0 <= idx < len(ways) else 0

@@ -222,13 +222,13 @@ ModelSpec = Union[FairThrow, Johnson, Multiplicity]
 
 @dataclass(frozen=True)
 class Exact:
-    """Finite number of old throws."""
+    """Finite number of old throws.
+
+    The model functions refuse fewer than one throw themselves, except the
+    base-weighted Johnson model, whose new throw at n = 0 is the base.
+    """
 
     n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one throw")
 
 
 @dataclass(frozen=True)
@@ -257,12 +257,11 @@ class Query:
 # --- results --------------------------------------------------------------
 
 CLOSED_FORM = "closed-form"
-BRUTE_FORCE = "brute-force"
 MONTE_CARLO = "monte-carlo"
 DETERMINISTIC_QUAD = "deterministic-quad"
 ANALYTIC_LIMIT = "analytic-limit"
 
-_METHODS = (CLOSED_FORM, BRUTE_FORCE, MONTE_CARLO, DETERMINISTIC_QUAD, ANALYTIC_LIMIT)
+_METHODS = (CLOSED_FORM, MONTE_CARLO, DETERMINISTIC_QUAD, ANALYTIC_LIMIT)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,13 @@
 """Closed-form posteriors for the fair-throw and (generalized) Johnson models."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import gammaln
 
-from .core import (Average, Distribution, FrequencyVector, PosteriorResult,
-                   CLOSED_FORM, OLD, NEW, N_FACES)
+from .core import Average, Distribution, PosteriorResult, CLOSED_FORM, OLD, NEW, N_FACES
 from .combinatorics import _pip_total, enumerate_constrained_frequencies
-
-
-def conditional_old_given_frequency(nv: FrequencyVector, face: int) -> float:
-    """P(an old throw shows `face` | frequencies) = N_face / N."""
-    if nv.total < 1:
-        raise ValueError("frequency vector must cover at least one throw")
-    if not 1 <= face <= 6:
-        raise ValueError(f"face must be 1..6, got {face}")
-    return nv[face - 1] / nv.total
 
 
 def _weighted_posterior(log_weights: np.ndarray, per_member_probs: np.ndarray) -> Distribution:
@@ -32,9 +24,10 @@ def _members(n: int, a: Average) -> np.ndarray:
 
 def fair_posterior(n: int, a: Average, throw: str) -> PosteriorResult:
     """Fair-throw model: multiplicity-weighted mean for old throws, uniform for new."""
-    counts = _members(n, a)
     if throw == NEW:
+        _pip_total(n, a)    # contradictory data has no new throw either
         return PosteriorResult.from_distribution(Distribution.uniform(), CLOSED_FORM)
+    counts = _members(n, a)
     # ln N! is common to every member and cancels in the normalization;
     # ln c! is tabulated over c = 0..n and gathered per member and face
     lw = -gammaln(np.arange(n + 1) + 1.0)[counts].sum(axis=1)
@@ -43,10 +36,17 @@ def fair_posterior(n: int, a: Average, throw: str) -> PosteriorResult:
 
 def _johnson_result(counts: np.ndarray, n: int, pseudo, throw: str) -> PosteriorResult:
     """Common path: per-face pseudo-counts `pseudo` (length 6), weights
-    prod Gamma(N_l + pseudo_l) / N_l!."""
+    prod Gamma(N_l + pseudo_l) / N_l!.
+
+    The table holds ln[(pseudo)_c / c!] for c = 0..n, the weight up to the
+    constant factor Gamma(pseudo), as a running sum of ln(pseudo + j) - ln(j + 1)
+    over j < c. It keeps its dependence on c at any pseudo-count, where
+    gammaln(c + pseudo) alone would drown it in gammaln(pseudo).
+    """
     pseudo = np.asarray(pseudo, dtype=float)
-    c = np.arange(n + 1)
-    table = gammaln(c[:, None] + pseudo) - gammaln(c + 1.0)[:, None]  # (n+1, 6)
+    j = np.arange(n)[:, None]
+    steps = np.log(pseudo + j) - np.log1p(j)
+    table = np.concatenate([np.zeros((1, N_FACES)), np.cumsum(steps, axis=0)])  # (n+1, 6)
     lw = table[counts, np.arange(N_FACES)].sum(axis=1)
     if throw == OLD:
         probs = counts / n
@@ -55,10 +55,14 @@ def _johnson_result(counts: np.ndarray, n: int, pseudo, throw: str) -> Posterior
     return PosteriorResult.from_distribution(_weighted_posterior(lw, probs), CLOSED_FORM)
 
 
+def _check_concentration(concentration: float):
+    if not (concentration > 0 and math.isfinite(concentration)):
+        raise ValueError("concentration must be a finite positive real")
+
+
 def johnson_posterior(n: int, a: Average, concentration: float, throw: str) -> PosteriorResult:
     """Symmetric Johnson (Dirichlet) model, pseudo-count `concentration` per face."""
-    if not concentration > 0:
-        raise ValueError("concentration must be > 0")
+    _check_concentration(concentration)
     return _johnson_result(_members(n, a), n, (concentration,) * N_FACES, throw)
 
 
@@ -68,8 +72,7 @@ def generalized_johnson_posterior(n: int, a: Average, concentration: float,
 
     n = 0 is accepted and returns the prior predictive (= base for a new throw).
     """
-    if not concentration > 0:
-        raise ValueError("concentration must be > 0")
+    _check_concentration(concentration)
     if any(p <= 0 for p in base):
         raise ValueError("base distribution must be strictly positive")
     if n == 0:

@@ -1,7 +1,6 @@
 """Constrained entropy maximizers over the mean-constraint slice of the simplex."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

@@ -19,41 +19,26 @@ cached beside it, shared by the old and new throw.
 
 In the large-N regime both old-throw and new-throw posteriors reduce to the
 same mean over the average slice of the simplex, weighted by the model's
-density; johnson_large_n and multiplicity_large_n share one code path.
+density; johnson_large_n and multiplicity_large_n share one code path, a
+deterministic adaptive quadrature over the slice.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
 from .core import (Average, DegeneratePolytope, DegenerateWeights, Distribution,
-                   Exact, FairThrow, Johnson, LargeN, Multiplicity, PosteriorResult,
-                   Query, ANALYTIC_LIMIT, DETERMINISTIC_QUAD, MONTE_CARLO, NEW, OLD,
-                   N_FACES)
+                   PosteriorResult, ANALYTIC_LIMIT, DETERMINISTIC_QUAD, MONTE_CARLO,
+                   OLD, N_FACES)
 from .combinatorics import _pip_total
-from .maxent import maxent_burg, maxent_shannon, min_kl
 from .simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator,
                                   build_constraint_polytope, make_rng,
                                   posterior_mean_polytope, posterior_mean_simplex,
                                   sample_simplex_uniform)
-
-
-@dataclass(frozen=True)
-class LargeNQuery:
-    """Asymptotic query where old and new throws have the same answer."""
-
-    average: Average
-    model: Union[Johnson, Multiplicity]
-    throw: str
-
-    def __post_init__(self):
-        if isinstance(self.model, FairThrow):
-            raise ValueError("fair-throw asymptotics are handled by maxent dispatch")
 
 
 # --- finite-N kernel -------------------------------------------------------
@@ -232,8 +217,7 @@ def generalized_multiplicity_posterior(n: int, a: Average, scale: float,
 _LARGE_N_ATOL = 5e-3
 
 
-def _large_n_mean(a: Average, log_density, budget: int, seed: int,
-                  method: str) -> PosteriorResult:
+def _large_n_mean(a: Average, log_density, budget: int) -> PosteriorResult:
     """Mean of f over the average slice, weighted by exp(log_density(f))."""
     try:
         poly = build_constraint_polytope(a)
@@ -243,18 +227,15 @@ def _large_n_mean(a: Average, log_density, budget: int, seed: int,
     def fn(pts):
         return log_density(pts), pts
 
-    probs, err, _ = posterior_mean_polytope(poly, fn, budget=budget, seed=seed,
-                                            method=method, atol=_LARGE_N_ATOL)
-    dist = Distribution.from_weights(np.maximum(probs, 0.0))
-    if method == "mc":
-        return PosteriorResult.from_distribution(dist, MONTE_CARLO, mc_stderr=err)
-    return PosteriorResult.from_distribution(dist, DETERMINISTIC_QUAD)
+    probs, _, _ = posterior_mean_polytope(poly, fn, budget=budget, method="deterministic",
+                                          atol=_LARGE_N_ATOL)
+    return PosteriorResult.from_distribution(
+        Distribution.from_weights(np.maximum(probs, 0.0)), DETERMINISTIC_QUAD)
 
 
 def johnson_large_n(a: Average, concentration: float,
                     base: Optional[Distribution] = None,
-                    budget: int = 1_000_000, seed: int = DEFAULT_SEED,
-                    method: str = "deterministic") -> PosteriorResult:
+                    budget: int = 1_000_000) -> PosteriorResult:
     """Large-N Johnson posterior (old and new coincide): density prod f^(K m_l - 1)."""
     if not (concentration > 0 and math.isfinite(concentration)):
         raise ValueError("concentration must be a finite positive real")
@@ -267,13 +248,12 @@ def johnson_large_n(a: Average, concentration: float,
         terms[:, expo == 0.0] = 0.0      # f^0 = 1 even at f = 0
         return terms.sum(axis=1)
 
-    return _large_n_mean(a, log_density, budget, seed, method)
+    return _large_n_mean(a, log_density, budget)
 
 
 def multiplicity_large_n(a: Average, scale: float,
                          base: Optional[Distribution] = None,
-                         budget: int = 1_000_000, seed: int = DEFAULT_SEED,
-                         method: str = "deterministic") -> PosteriorResult:
+                         budget: int = 1_000_000) -> PosteriorResult:
     """Large-N multiplicity posterior: density 1 / prod Gamma(L f_l + 1)."""
     if not (scale >= 1 and math.isfinite(scale)):
         raise ValueError("multiplicity scale must be a finite real >= 1")
@@ -281,63 +261,4 @@ def multiplicity_large_n(a: Average, scale: float,
     def log_density(pts):
         return _multiplicity_log_density(pts, scale, base)
 
-    return _large_n_mean(a, log_density, budget, seed, method)
-
-
-# --- asymptotic routing ----------------------------------------------------
-
-def _analytic(dist: Distribution) -> PosteriorResult:
-    return PosteriorResult.from_distribution(dist, ANALYTIC_LIMIT)
-
-
-def _fair_large_n(a: Average, throw: str) -> PosteriorResult:
-    if throw == NEW:
-        return _analytic(Distribution.uniform())
-    return _analytic(maxent_shannon(a).distribution)
-
-
-def asymptotic_dispatch(query: Query, budget: int = 400_000,
-                        seed: int = DEFAULT_SEED) -> PosteriorResult:
-    """Route a limit-regime query to the correct analytic limit or slice integral.
-
-    Routing: parameter much larger than N behaves like the fair-throw model;
-    N much larger than the Johnson concentration gives the Burg-entropy
-    maximizer; N much larger than the multiplicity scale gives the Shannon
-    maximizer (base-relative queries minimize the divergence from the base);
-    large N at finite parameter evaluates the hyperplane integral.
-    """
-    model = query.model
-    a = query.average
-
-    if isinstance(query.regime, Exact):
-        param = getattr(model, "concentration", getattr(model, "scale", None))
-        if param is None or math.isfinite(param):
-            raise ValueError("exact-N queries belong in asymptotic dispatch only "
-                             "when the model parameter is marked large")
-        # parameter >> N: the model collapses to fair throwing at finite N
-        from .exact_models import fair_posterior
-        fair = fair_posterior(query.regime.n, a, query.throw)
-        return _analytic(fair.distribution)
-
-    if isinstance(model, FairThrow):
-        return _fair_large_n(a, query.throw)
-
-    param = model.concentration if isinstance(model, Johnson) else model.scale
-    if math.isinf(param):
-        ratio_large = query.regime.n_over_param_large
-        if ratio_large is None:
-            raise ValueError("with both N and the parameter large, say which "
-                             "ratio dominates (n_over_param_large)")
-        if not ratio_large:
-            return _fair_large_n(a, query.throw)
-        if isinstance(model, Johnson):
-            if model.base is not None:
-                raise ValueError("no analytic limit is implemented for the "
-                                 "base-relative Johnson model at N >> K")
-            return _analytic(maxent_burg(a).distribution)
-        base = model.base if model.base is not None else Distribution.uniform()
-        return _analytic(min_kl(a, base).distribution)
-
-    if isinstance(model, Johnson):
-        return johnson_large_n(a, param, model.base, budget=budget, seed=seed)
-    return multiplicity_large_n(a, param, model.base, budget=budget, seed=seed)
+    return _large_n_mean(a, log_density, budget)

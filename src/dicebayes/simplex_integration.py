@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay
-from scipy.special import gammaln
 
 from .core import (Average, BudgetExhausted, DegeneratePolytope, Distribution,
                    FACE_VALUES, N_FACES)
@@ -39,27 +38,6 @@ def sample_simplex_uniform(rng: np.random.Generator, count: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     e = rng.standard_exponential((count, N_FACES))
     return e / e.sum(axis=1, keepdims=True)
-
-
-def dirichlet_beta_integral(b) -> float:
-    """log of int prod p_l^(b_l - 1) dp over the simplex (Lebesgue measure).
-
-    Value is prod Gamma(b_l) / Gamma(sum b_l); with b = 1 this is the
-    5-simplex volume 1/120, consistent with uniform Monte Carlo moments.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (N_FACES,) or np.any(b <= 0.0):
-        raise ValueError("need 6 strictly positive exponents")
-    return float(np.sum(gammaln(b)) - gammaln(np.sum(b)))
-
-
-@dataclass(frozen=True)
-class QuadratureEstimate:
-    value: float
-    stderr: float
-    evaluations: int
-    error_indicator: float = 0.0
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -181,18 +159,9 @@ class _MCAccumulator:
         var = np.maximum(self.s_x2w2 - 2.0 * r * self.s_xw2 + r * r * self.s_w2, 0.0)
         return r, np.sqrt(var) / self.s_w, self.s_w * self.s_w / self.s_w2
 
-    def mean(self) -> Tuple[float, float]:
-        """Plain mean of w over samples (normalized-measure integral) and its stderr."""
-        if self.shift is None:
-            return 0.0, 0.0
-        scale = math.exp(self.shift)
-        mean = self.s_w / self.n
-        var = max(self.s_w2 / self.n - mean * mean, 0.0)
-        return scale * mean, scale * math.sqrt(var / self.n)
 
-
-def _mc_run(sampler, fn, budget: int, seed: int, ncols: int) -> _MCAccumulator:
-    acc = _MCAccumulator(ncols)
+def _mc_run(sampler, fn, budget: int, seed: int) -> _MCAccumulator:
+    acc = _MCAccumulator(N_FACES)
     stream = 0
     remaining = int(budget)
     while remaining > 0:
@@ -266,24 +235,23 @@ def _bisect(verts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class _DetState:
-    """Adaptive subdivision state shared by ratio and single-integral paths.
+    """Adaptive subdivision state of the ratio quadrature.
 
     The cells are parallel arrays: vertices, volume fractions, the high- and
     low-degree rule values of (w, x*w), and the error indicator that orders
     refinement.
     """
 
-    def __init__(self, roots: _Cells, dim: int, fn, ncols: int):
+    def __init__(self, roots: _Cells, dim: int, fn):
         self.fn = fn
-        self.ncols = ncols
         self.shift = None
         self.evaluations = 0
         self.nodes_hi, self.w_hi = _gm_rule(dim, 2)
         self.nodes_lo, self.w_lo = _gm_rule(dim, 1)
         verts, frac = roots
         self.verts, self.frac = verts[:0], frac[:0]     # empty; _add appends the roots
-        self.hi = np.zeros((0, 1 + ncols))
-        self.lo = np.zeros((0, 1 + ncols))
+        self.hi = np.zeros((0, 1 + N_FACES))
+        self.lo = np.zeros((0, 1 + N_FACES))
         self.err = np.zeros(0)
         self._add(verts, frac)
 
@@ -309,9 +277,9 @@ class _DetState:
                 self.shift = m
         shift = self.shift if self.shift is not None else 0.0
         w = np.where(np.isfinite(logw), np.exp(np.minimum(logw - shift, 700.0)), 0.0)
-        cols = np.concatenate([w[:, None], x * w[:, None]], axis=1)  # (pts, 1+ncols)
+        cols = np.concatenate([w[:, None], x * w[:, None]], axis=1)  # (pts, 7)
         per = nhi + nlo
-        hi = np.empty((len(frac), 1 + self.ncols))
+        hi = np.empty((len(frac), 1 + N_FACES))
         lo = np.empty_like(hi)
         for k in range(len(frac)):
             block = cols[k * per:(k + 1) * per]
@@ -352,8 +320,8 @@ def _polytope_roots(poly: ConstraintPolytope) -> _Cells:
 
 
 def _det_ratio(roots: _Cells, dim: int, fn, budget: int,
-               atol: float) -> Tuple[np.ndarray, np.ndarray, int, bool]:
-    state = _DetState(roots, dim, fn, N_FACES)
+               atol: float) -> Tuple[np.ndarray, np.ndarray, int]:
+    state = _DetState(roots, dim, fn)
     while True:
         tot, err = state.totals()
         den = tot[0]
@@ -361,7 +329,7 @@ def _det_ratio(roots: _Cells, dim: int, fn, budget: int,
             ratio = tot[1:] / den
             rerr = (err[1:] + np.abs(ratio) * err[0]) / den
             if float(rerr.max()) <= atol:
-                return ratio, rerr, state.evaluations, True
+                return ratio, rerr, state.evaluations
         if state.evaluations >= budget:
             break
         state.refine_wave()
@@ -371,81 +339,10 @@ def _det_ratio(roots: _Cells, dim: int, fn, budget: int,
     rerr = (err[1:] + np.abs(ratio) * err[0]) / den
     warnings.warn("deterministic quadrature stopped at its evaluation budget "
                   f"with error indicator {float(rerr.max()):.2e}", BudgetExhausted)
-    return ratio, rerr, state.evaluations, False
+    return ratio, rerr, state.evaluations
 
 
-def _det_integral(roots: _Cells, dim: int, log_integrand, budget: int,
-                  rel_tol: Optional[float]) -> QuadratureEstimate:
-    def fn(pts):
-        return log_integrand(pts), np.zeros((pts.shape[0], 0))
-
-    state = _DetState(roots, dim, fn, 0)
-    target = rel_tol if rel_tol is not None else 1e-9
-    converged = False
-    while True:
-        tot, err = state.totals()
-        if tot[0] != 0.0 and err[0] <= target * abs(tot[0]):
-            converged = True
-            break
-        if state.evaluations >= budget:
-            break
-        state.refine_wave()
-    tot, err = state.totals()
-    scale = math.exp(state.shift) if state.shift is not None else 1.0
-    if not converged and rel_tol is not None:
-        warnings.warn("deterministic quadrature stopped at its evaluation budget",
-                      BudgetExhausted)
-    return QuadratureEstimate(scale * float(tot[0]), 0.0, state.evaluations,
-                              error_indicator=scale * float(err[0]),
-                              converged=converged)
-
-
-# --- public integration entry points --------------------------------------
-
-def integrate_simplex(log_integrand: Callable[[np.ndarray], np.ndarray],
-                      budget: int = 200_000, seed: int = DEFAULT_SEED,
-                      method: str = "mc",
-                      rel_tol: Optional[float] = None) -> QuadratureEstimate:
-    """Mean of exp(log_integrand) over the simplex w.r.t. the unit-volume flat
-    measure. `log_integrand` maps an (n, 6) array of points to (n,) log values."""
-    if method == "mc":
-        def fn(pts):
-            return log_integrand(pts), np.zeros((pts.shape[0], 0))
-
-        acc = _mc_run(sample_simplex_uniform, fn, budget, seed, 0)
-        value, stderr = acc.mean()
-        converged = rel_tol is None or (value != 0.0 and stderr <= rel_tol * abs(value))
-        if not converged:
-            warnings.warn("Monte Carlo stopped at its sample budget", BudgetExhausted)
-        return QuadratureEstimate(value, stderr, acc.n, converged=converged)
-    if method == "deterministic":
-        return _det_integral(_simplex_roots(), 5, log_integrand, budget, rel_tol)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def integrate_polytope(poly: ConstraintPolytope,
-                       log_integrand: Callable[[np.ndarray], np.ndarray],
-                       budget: int = 200_000, seed: int = DEFAULT_SEED,
-                       method: str = "mc",
-                       rel_tol: Optional[float] = None) -> QuadratureEstimate:
-    """Same contract as integrate_simplex, over the average-constraint slice."""
-    if method == "mc":
-        def fn(pts):
-            return log_integrand(pts), np.zeros((pts.shape[0], 0))
-
-        def sampler(rng, count):
-            return sample_polytope_uniform(poly, rng, count)
-
-        acc = _mc_run(sampler, fn, budget, seed, 0)
-        value, stderr = acc.mean()
-        converged = rel_tol is None or (value != 0.0 and stderr <= rel_tol * abs(value))
-        if not converged:
-            warnings.warn("Monte Carlo stopped at its sample budget", BudgetExhausted)
-        return QuadratureEstimate(value, stderr, acc.n, converged=converged)
-    if method == "deterministic":
-        return _det_integral(_polytope_roots(poly), 4, log_integrand, budget, rel_tol)
-    raise ValueError(f"unknown method {method!r}")
-
+# --- public ratio estimators ----------------------------------------------
 
 def posterior_mean_simplex(fn, budget: int = 2_000_000, seed: int = DEFAULT_SEED,
                            method: str = "mc", atol: float = 1e-4):
@@ -456,12 +353,11 @@ def posterior_mean_simplex(fn, budget: int = 2_000_000, seed: int = DEFAULT_SEED
     Returns (probs (6,), error (6,), evaluations).
     """
     if method == "mc":
-        acc = _mc_run(sample_simplex_uniform, fn, budget, seed, N_FACES)
+        acc = _mc_run(sample_simplex_uniform, fn, budget, seed)
         r, se, _ = acc.ratio()
         return r, se, acc.n
     if method == "deterministic":
-        r, se, evals, _ = _det_ratio(_simplex_roots(), 5, fn, budget, atol)
-        return r, se, evals
+        return _det_ratio(_simplex_roots(), 5, fn, budget, atol)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -473,10 +369,9 @@ def posterior_mean_polytope(poly: ConstraintPolytope, fn, budget: int = 2_000_00
         def sampler(rng, count):
             return sample_polytope_uniform(poly, rng, count)
 
-        acc = _mc_run(sampler, fn, budget, seed, N_FACES)
+        acc = _mc_run(sampler, fn, budget, seed)
         r, se, _ = acc.ratio()
         return r, se, acc.n
     if method == "deterministic":
-        r, se, evals, _ = _det_ratio(_polytope_roots(poly), 4, fn, budget, atol)
-        return r, se, evals
+        return _det_ratio(_polytope_roots(poly), 4, fn, budget, atol)
     raise ValueError(f"unknown method {method!r}")

@@ -1,20 +1,22 @@
-"""Independent brute-force and exact-rational oracles, used only by the tests.
+"""Independent brute-force and exact-rational oracles for the tests.
 
-Everything here returns tuples of `fractions.Fraction` so that no floating
-point enters until the final comparison against the production code paths.
-Two independent fair-throw oracles are provided (a dynamic program over
-throws, and a literal loop over all 6^N sequences) to guard against a shared
-bug.
+The posterior oracles return tuples of `fractions.Fraction` so that no
+floating point enters until the final comparison against the production code
+paths; the counting oracles return exact integers. Two independent
+fair-throw oracles are provided (a dynamic program over throws, and a literal
+loop over all 6^N sequences) to guard against a shared bug.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Tuple
 
-from .core import Average, ContradictoryData, NEW, OLD, N_FACES
-from .combinatorics import enumerate_constrained_frequencies
+from dicebayes import (Average, ContradictoryData, FrequencyVector, NEW, OLD,
+                       enumerate_constrained_frequencies)
+from dicebayes.core import N_FACES
 
 _UNIFORM = (Fraction(1, 6),) * N_FACES
 
@@ -114,7 +116,6 @@ def exact_johnson(n: int, a: Average, k: int, throw: str) -> Tuple[Fraction, ...
     if cs.is_empty():
         raise ContradictoryData(f"no frequency vector realizes average {a} over {n} throws")
 
-    import math
     num = [Fraction(0)] * N_FACES
     den = Fraction(0)
     for nv in cs:
@@ -128,3 +129,29 @@ def exact_johnson(n: int, a: Average, k: int, throw: str) -> Tuple[Fraction, ...
             else:
                 num[i] += w * Fraction(c + k, n + 6 * k)
     return tuple(x / den for x in num)
+
+
+def multinomial_exact(nv: FrequencyVector) -> int:
+    """Integer multinomial coefficient N! / prod N_i!."""
+    out = math.factorial(nv.total)
+    for c in nv:
+        out //= math.factorial(c)
+    return out
+
+
+def count_sequences(n: int, s: int) -> int:
+    """Number of ordered n-tuples over {1..6} summing to s, by exact big-int DP."""
+    if n < 1:
+        raise ValueError("need at least one throw")
+    if not n <= s <= 6 * n:
+        return 0
+    ways = [1]  # ways[t] = sequences of throws so far summing to t (offset by min sum)
+    for throws in range(1, n + 1):
+        new = [0] * (5 * throws + 1)
+        for t, w in enumerate(ways):
+            if w:
+                for v in range(6):
+                    new[t + v] += w
+        ways = new
+    idx = s - n
+    return ways[idx] if 0 <= idx < len(ways) else 0

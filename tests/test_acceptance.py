@@ -13,12 +13,12 @@ import pytest
 
 from dicebayes import (Average, BudgetExhausted, ContradictoryData, Distribution,
                        Exact, Johnson, Multiplicity, Query, NEW, OLD,
-                       asymptotic_dispatch, fair_posterior, johnson_large_n,
-                       johnson_posterior, load_reference_tables, maxent_burg,
-                       maxent_shannon, multiplicity_large_n,
-                       multiplicity_posterior, shannon_entropy)
+                       fair_posterior, johnson_large_n, johnson_posterior,
+                       load_reference_tables, maxent_burg, maxent_shannon,
+                       multiplicity_large_n, multiplicity_posterior, posterior,
+                       shannon_entropy)
 from dicebayes.cli import KNOWN_DISCREPANCIES
-from dicebayes.oracle import brute_force_fair, exact_johnson
+from oracle import brute_force_fair, exact_johnson
 
 import test_combinatorics
 import test_exact_models
@@ -72,7 +72,7 @@ def test_criterion_1_closed_form_tables(capsys):
                                            float(row.param), cell))
                     continue
                 if row.param == "large":
-                    res = asymptotic_dispatch(
+                    res = posterior(
                         Query(Exact(table.n), table.average, throw,
                               Johnson(math.inf)))
                 elif row.model == "fair":

@@ -1,17 +1,24 @@
 """Command-line interface: formats, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dicebayes
 from dicebayes.cli import main
+
+# the child interpreter imports the same dicebayes as this one
+SRC = str(Path(dicebayes.__file__).resolve().parents[1])
 
 
 def run_cli(*argv):
-    proc = subprocess.run([sys.executable, "-m", "dicebayes.cli", *argv],
-                          capture_output=True, text=True)
-    return proc
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dicebayes.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestEval:
@@ -56,6 +63,35 @@ class TestEval:
         assert main(["eval", "--large-n", "--avg", "5", "--model", "min-kl"]) == 3
         assert main(["eval", "--large-n", "--avg", "5", "--model", "min-kl",
                      "--m", "1,1,1,1,1,1"]) == 0
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize("model, avg", [("johnson", "5"), ("johnson", "4.25"),
+                                            ("multiplicity", "5"), ("fair", "5")])
+    def test_non_finite_param_is_usage_error(self, capsys, value, model, avg):
+        # 'large' is the only way to ask for the parameter-large limit
+        assert main(["eval", "--n", "2", "--avg", avg, "--model", model,
+                     f"--param={value}", "--throw", "old"]) == 3
+        assert "--param must be a finite number or 'large'" in capsys.readouterr().err
+
+    def test_param_large_is_the_fair_limit(self, capsys):
+        assert main(["eval", "--n", "2", "--avg", "5", "--model", "johnson",
+                     "--param", "large", "--throw", "old"]) == 0
+        out = capsys.readouterr().out
+        assert "(0.0, 0.0, 0.0, 33.3, 33.3, 33.3)" in out
+        assert "method: analytic-limit" in out
+
+    def test_no_data_base_weighted_johnson_is_the_base(self, capsys):
+        assert main(["eval", "--n", "0", "--avg", "5", "--model", "johnson",
+                     "--param", "2", "--m", "1,2,3,4,5,6", "--throw", "new",
+                     "--format", "json"]) == 0
+        probs = json.loads(capsys.readouterr().out)["probs"]
+        assert probs == pytest.approx([i / 21 for i in range(1, 7)], abs=1e-15)
+        assert main(["eval", "--n", "0", "--avg", "5", "--model", "johnson",
+                     "--param", "2", "--throw", "new"]) == 3
+
+    def test_base_with_an_empty_face_is_usage_error(self):
+        assert main(["eval", "--large-n", "--avg", "5", "--model", "johnson",
+                     "--param", "5", "--m", "0,1,1,1,1,1", "--throw", "old"]) == 3
 
     def test_console_entry_point(self):
         proc = run_cli("eval", "--n", "2", "--avg", "5", "--model", "fair",

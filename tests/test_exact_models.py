@@ -7,27 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dicebayes import (Average, ContradictoryData, Distribution, FrequencyVector,
-                       NEW, OLD, conditional_old_given_frequency, count_sequences,
+from dicebayes import (Average, ContradictoryData, Distribution, NEW, OLD,
                        fair_posterior, generalized_johnson_posterior, johnson_posterior)
-from dicebayes.oracle import brute_force_fair, brute_force_fair_literal, exact_johnson
+from oracle import (brute_force_fair, brute_force_fair_literal, count_sequences,
+                    exact_johnson)
 
 
 def assert_close(result, expected, tol=1e-12):
     for got, want in zip(result.distribution, expected):
         assert got == pytest.approx(float(want), abs=tol)
-
-
-class TestConditionalOld:
-    def test_counts_over_total(self):
-        nv = FrequencyVector((0, 0, 0, 1, 0, 1))
-        assert conditional_old_given_frequency(nv, 4) == 0.5
-        assert conditional_old_given_frequency(nv, 6) == 0.5
-        assert conditional_old_given_frequency(nv, 1) == 0.0
-
-    def test_bad_face(self):
-        with pytest.raises(ValueError):
-            conditional_old_given_frequency(FrequencyVector((1, 0, 0, 0, 0, 0)), 7)
 
 
 class TestFairPosterior:
@@ -66,7 +54,9 @@ class TestFairPosterior:
 
 class TestJohnsonPosterior:
     @pytest.mark.parametrize("n", [1, 2, 6, 12])
-    @pytest.mark.parametrize("k", [1, 5, 50])
+    # the large concentrations check that the weights keep their dependence
+    # on the counts when ln Gamma(K) dwarfs it
+    @pytest.mark.parametrize("k", [1, 5, 50, 10**6, 10**10, 10**14])
     @pytest.mark.parametrize("throw", [OLD, NEW])
     def test_matches_exact_oracle(self, n, k, throw):
         for a in (Fraction(6), Fraction(5), Fraction(7, 2)):
@@ -100,6 +90,14 @@ class TestJohnsonPosterior:
             sym = johnson_posterior(6, a, 5.0, throw)
             gen = generalized_johnson_posterior(6, a, 30.0, base, throw)
             assert_close(gen, sym.distribution.probs, tol=1e-10)
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 0.0])
+    def test_concentration_must_be_finite_and_positive(self, k):
+        a = Average(Fraction(5))
+        with pytest.raises(ValueError):
+            johnson_posterior(2, a, k, OLD)
+        with pytest.raises(ValueError):
+            generalized_johnson_posterior(2, a, k, Distribution.uniform(), NEW)
 
     def test_generalized_no_data_returns_base_predictive(self):
         base = Distribution.from_weights((1, 2, 3, 4, 5, 6))

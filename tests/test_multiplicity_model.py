@@ -1,4 +1,5 @@
-"""Multiplicity-model posteriors, large-N slice integrals, and asymptotic routing."""
+"""Multiplicity-model posteriors, large-N slice integrals, and the routing of
+`posterior()`."""
 import math
 import warnings
 from fractions import Fraction
@@ -10,10 +11,11 @@ from numpy.polynomial import polynomial
 
 from dicebayes import (Average, BudgetExhausted, ContradictoryData,
                        DegenerateWeights, Distribution, Exact, FairThrow, Johnson,
-                       LargeN, Multiplicity, Query, NEW, OLD, asymptotic_dispatch,
-                       fair_posterior, generalized_multiplicity_posterior,
-                       johnson_large_n, maxent_burg, maxent_shannon, min_kl,
-                       multiplicity_large_n, multiplicity_posterior)
+                       LargeN, Multiplicity, Query, NEW, OLD, fair_posterior,
+                       generalized_johnson_posterior,
+                       generalized_multiplicity_posterior, johnson_large_n,
+                       johnson_posterior, maxent_burg, maxent_shannon, min_kl,
+                       multiplicity_large_n, multiplicity_posterior, posterior)
 from dicebayes.cli import main
 from dicebayes.multiplicity_model import _ROW_BLOCK, _finite_kernel
 from dicebayes.simplex_integration import make_rng, sample_simplex_uniform
@@ -157,41 +159,123 @@ class TestLargeN:
 
 class TestAsymptoticDispatch:
     def test_finite_n_infinite_param_behaves_like_fair(self):
-        res = asymptotic_dispatch(Query(Exact(2), A5, OLD, Johnson(math.inf)))
+        res = posterior(Query(Exact(2), A5, OLD, Johnson(math.inf)))
         fair = fair_posterior(2, A5, OLD)
         assert max_dev(res.distribution, fair.distribution) < 1e-12
 
     def test_large_n_fair_old_is_shannon_maxent(self):
-        res = asymptotic_dispatch(Query(LargeN(), A5, OLD, FairThrow()))
+        res = posterior(Query(LargeN(), A5, OLD, FairThrow()))
         assert max_dev(res.distribution, maxent_shannon(A5).distribution) < 1e-10
 
     def test_large_n_fair_new_is_uniform(self):
-        res = asymptotic_dispatch(Query(LargeN(), A5, NEW, FairThrow()))
+        res = posterior(Query(LargeN(), A5, NEW, FairThrow()))
         assert res.distribution == Distribution.uniform()
 
     def test_param_dominating_n_behaves_like_fair_large_n(self):
         for throw, expected in ((OLD, maxent_shannon(A5).distribution),
                                 (NEW, Distribution.uniform())):
-            res = asymptotic_dispatch(
-                Query(LargeN(False), A5, throw, Multiplicity(math.inf)))
+            res = posterior(Query(LargeN(False), A5, throw, Multiplicity(math.inf)))
             assert max_dev(res.distribution, expected) < 1e-10
 
     def test_n_dominating_johnson_is_burg_maxent(self):
-        res = asymptotic_dispatch(Query(LargeN(True), A5, OLD, Johnson(math.inf)))
+        res = posterior(Query(LargeN(True), A5, OLD, Johnson(math.inf)))
         assert max_dev(res.distribution, maxent_burg(A5).distribution) < 1e-10
 
     def test_n_dominating_multiplicity_is_min_divergence(self):
         base = Distribution.from_weights((1, 1, 2, 2, 3, 3))
-        res = asymptotic_dispatch(
-            Query(LargeN(True), A5, NEW, Multiplicity(math.inf, base)))
+        res = posterior(Query(LargeN(True), A5, NEW, Multiplicity(math.inf, base)))
         assert max_dev(res.distribution, min_kl(A5, base).distribution) < 1e-10
 
     def test_unspecified_ratio_is_an_error(self):
         with pytest.raises(ValueError):
-            asymptotic_dispatch(Query(LargeN(None), A5, OLD, Johnson(math.inf)))
+            posterior(Query(LargeN(None), A5, OLD, Johnson(math.inf)))
 
     def test_base_relative_johnson_limit_unsupported(self):
         base = Distribution.from_weights((1, 1, 2, 2, 3, 3))
         with pytest.raises(ValueError):
-            asymptotic_dispatch(
-                Query(LargeN(True), A5, OLD, Johnson(math.inf, base)))
+            posterior(Query(LargeN(True), A5, OLD, Johnson(math.inf, base)))
+
+
+BASE = Distribution.from_weights((1, 2, 3, 4, 5, 6))
+
+
+class TestPosteriorRoutes:
+    """Each route of `posterior()` returns exactly what the function it routes to
+    returns when called directly."""
+
+    @staticmethod
+    def assert_same(routed, direct):
+        assert routed.distribution == direct.distribution
+        assert routed.method == direct.method
+        assert routed.mc_stderr == direct.mc_stderr
+
+    @pytest.mark.parametrize("throw", [OLD, NEW])
+    def test_finite_n_fair(self, throw):
+        self.assert_same(posterior(Query(Exact(6), A5, throw, FairThrow())),
+                         fair_posterior(6, A5, throw))
+
+    @pytest.mark.parametrize("throw", [OLD, NEW])
+    def test_finite_n_johnson(self, throw):
+        self.assert_same(posterior(Query(Exact(6), A5, throw, Johnson(0.5))),
+                         johnson_posterior(6, A5, 0.5, throw))
+
+    @pytest.mark.parametrize("throw", [OLD, NEW])
+    def test_finite_n_multiplicity(self, throw):
+        self.assert_same(
+            posterior(Query(Exact(6), A5, throw, Multiplicity(5.0)), budget=20_000, seed=3),
+            multiplicity_posterior(6, A5, 5.0, throw, budget=20_000, seed=3))
+
+    def test_finite_n_base_weighted(self):
+        self.assert_same(posterior(Query(Exact(6), A5, NEW, Johnson(2.0, BASE))),
+                         generalized_johnson_posterior(6, A5, 2.0, BASE, NEW))
+        self.assert_same(
+            posterior(Query(Exact(6), A5, OLD, Multiplicity(5.0, BASE)), budget=20_000, seed=3),
+            generalized_multiplicity_posterior(6, A5, 5.0, BASE, OLD, budget=20_000, seed=3))
+
+    def test_no_data_base_weighted_johnson_is_the_base(self):
+        res = posterior(Query(Exact(0), A5, NEW, Johnson(2.0, BASE)))
+        assert res.distribution == BASE
+        with pytest.raises(ValueError):
+            posterior(Query(Exact(0), A5, NEW, Johnson(2.0)))
+
+    @pytest.mark.parametrize("model", [Johnson(math.inf), Multiplicity(math.inf)])
+    def test_finite_n_parameter_large_is_fair(self, model):
+        res = posterior(Query(Exact(6), A5, OLD, model))
+        assert res.distribution == fair_posterior(6, A5, OLD).distribution
+        assert res.method == "analytic-limit"
+
+    def test_large_n_fair(self):
+        old = posterior(Query(LargeN(), A5, OLD, FairThrow()))
+        assert old.distribution == maxent_shannon(A5).distribution
+        assert posterior(Query(LargeN(), A5, NEW, FairThrow())).distribution == \
+            Distribution.uniform()
+
+    def test_large_n_finite_parameter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BudgetExhausted)
+            for throw in (OLD, NEW):
+                self.assert_same(
+                    posterior(Query(LargeN(), A5, throw, Johnson(5.0)), budget=3_000),
+                    johnson_large_n(A5, 5.0, budget=3_000))
+                self.assert_same(
+                    posterior(Query(LargeN(), A5, throw, Multiplicity(5.0, BASE)),
+                              budget=3_000),
+                    multiplicity_large_n(A5, 5.0, BASE, budget=3_000))
+
+    def test_large_n_ratio_small_is_fair_limit(self):
+        for model in (Johnson(math.inf), Multiplicity(math.inf)):
+            old = posterior(Query(LargeN(False), A5, OLD, model))
+            new = posterior(Query(LargeN(False), A5, NEW, model))
+            assert old.distribution == maxent_shannon(A5).distribution
+            assert new.distribution == Distribution.uniform()
+
+    def test_large_n_ratio_large_is_maxent(self):
+        johnson = posterior(Query(LargeN(True), A5, OLD, Johnson(math.inf)))
+        assert johnson.distribution == maxent_burg(A5).distribution
+        mult = posterior(Query(LargeN(True), A5, OLD, Multiplicity(math.inf)))
+        assert mult.distribution == min_kl(A5, Distribution.uniform()).distribution
+
+    @pytest.mark.parametrize("model", [Johnson(math.inf), Multiplicity(math.inf)])
+    def test_large_n_ratio_missing_is_an_error(self, model):
+        with pytest.raises(ValueError):
+            posterior(Query(LargeN(), A5, NEW, model))

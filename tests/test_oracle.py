@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dicebayes import Average, ContradictoryData, NEW, OLD
-from dicebayes.oracle import (brute_force_fair, brute_force_fair_literal,
+from oracle import (brute_force_fair, brute_force_fair_literal,
                               exact_johnson, sequence_census)
 
 

@@ -1,16 +1,13 @@
 """Simplex/polytope sampling, quadrature, and ratio estimators."""
-import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from dicebayes import (Average, BudgetExhausted, DegeneratePolytope,
-                       build_constraint_polytope, dirichlet_beta_integral,
-                       integrate_polytope, integrate_simplex,
-                       sample_polytope_uniform, sample_simplex_uniform)
+                       build_constraint_polytope, sample_polytope_uniform,
+                       sample_simplex_uniform)
 from dicebayes.simplex_integration import (_MCAccumulator, make_rng,
                                            posterior_mean_polytope,
                                            posterior_mean_simplex)
@@ -50,49 +47,39 @@ class TestSampling:
         assert v2 == pytest.approx(v5, rel=1e-9)
 
 
-class TestDirichletBetaIntegral:
-    def test_flat_case(self):
-        # the canonical flat density integrates to 1/5! relative to the
-        # Lebesgue measure used here
-        assert dirichlet_beta_integral(np.ones(6)) == pytest.approx(-math.log(120))
-
-    def test_against_gammaln(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            b = rng.uniform(0.2, 8.0, size=6)
-            expected = gammaln(b).sum() - gammaln(b.sum())
-            assert dirichlet_beta_integral(b) == pytest.approx(expected, rel=1e-12)
-
-
 class TestIntegrators:
+    # Under the weight prod p^(b - 1) the simplex mean of p_i is a ratio of two
+    # Dirichlet normalizers, B(b + e_i) / B(b) = b_i / sum(b).
+    B = np.array([2.0, 1.0, 3.0, 1.0, 2.0, 1.0])
+
+    @classmethod
+    def dirichlet(cls, pts):
+        with np.errstate(divide="ignore"):
+            return ((cls.B - 1.0) * np.log(pts)).sum(axis=1), pts
+
     def test_mc_matches_dirichlet_normalizer(self):
-        b = np.array([2.0, 1.0, 3.0, 1.0, 2.0, 1.0])
-
-        def fn(pts):
-            with np.errstate(divide="ignore"):
-                return ((b - 1.0) * np.log(pts)).sum(axis=1)
-
-        est = integrate_simplex(fn, budget=400_000, seed=2)
-        expected = math.exp(dirichlet_beta_integral(b) + math.log(120))
-        assert est.value == pytest.approx(expected, rel=5e-3)
-        assert est.stderr < 0.01 * expected
+        probs, stderr, evaluations = posterior_mean_simplex(self.dirichlet,
+                                                            budget=400_000, seed=2)
+        expected = self.B / self.B.sum()
+        assert evaluations == 400_000
+        assert np.all(np.abs(probs - expected) <= 4 * stderr)
+        assert np.all(stderr < 0.01 * expected)
 
     def test_deterministic_matches_dirichlet_normalizer(self):
-        b = np.array([2.0, 1.0, 3.0, 1.0, 2.0, 1.0])
-
-        def fn(pts):
-            with np.errstate(divide="ignore"):
-                return ((b - 1.0) * np.log(pts)).sum(axis=1)
-
-        est = integrate_simplex(fn, budget=200_000, seed=0, method="deterministic")
-        expected = math.exp(dirichlet_beta_integral(b) + math.log(120))
-        assert est.value == pytest.approx(expected, rel=1e-4)
+        probs, _, _ = posterior_mean_simplex(self.dirichlet, budget=200_000,
+                                             method="deterministic", atol=1e-2)
+        np.testing.assert_allclose(probs, self.B / self.B.sum(), rtol=1e-4)
 
     def test_polytope_constant_integrates_to_volume_fraction(self):
+        # a constant weight gives each triangulation simplex its volume
+        # fraction, so the mean point is the volume-weighted mean of their centroids
         poly = build_constraint_polytope(Average(Fraction(4)))
-        est = integrate_polytope(poly, lambda pts: np.zeros(len(pts)),
-                                 budget=10_000, seed=0, method="deterministic")
-        assert est.value == pytest.approx(1.0, rel=1e-9)
+        verts = poly.vertex_array()
+        centroid = sum(frac * verts[list(simplex)].mean(axis=0)
+                       for frac, simplex in zip(poly.relative_volumes, poly.simplices))
+        probs, _, _ = posterior_mean_polytope(poly, lambda pts: (np.zeros(len(pts)), pts),
+                                              budget=10_000, method="deterministic")
+        np.testing.assert_allclose(probs, centroid, rtol=0, atol=1e-12)
 
     def test_budget_exhausted_is_a_warning_with_result(self):
         # a sharply peaked integrand cannot converge on a tiny budget
