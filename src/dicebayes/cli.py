@@ -42,8 +42,8 @@ TOL_ENTROPY_NUMERIC = 0.01   # Monte Carlo / quadrature cells
 _EPS = 1e-9
 
 # Cells where the published value is contradicted by independent recomputation
-# (three methods: two unrelated Monte Carlo samplers and a deterministic
-# convolution quadrature agree with each other but not with the print).
+# (three methods: two unrelated Monte Carlo samplers and the deterministic
+# lattice sum of multiplicity_model agree with each other but not with the print).
 # Maps (problem, model, param, throw) -> widened tolerance in percent points.
 KNOWN_DISCREPANCIES = {
     ("n2-a5", "multiplicity", "1", OLD): 0.6,
@@ -143,6 +143,8 @@ def _result_payload(result: PosteriorResult) -> dict:
     }
     if result.mc_stderr is not None:
         payload["stderr"] = list(result.mc_stderr)
+    if result.error_bound is not None:
+        payload["error_bound"] = list(result.error_bound)
     return payload
 
 
@@ -166,6 +168,9 @@ def _cmd_eval(args) -> int:
         print(f"method: {result.method}")
         if result.mc_stderr is not None:
             print("stderr: (" + ", ".join(f"{100*s:.3f}" for s in result.mc_stderr) + ") pp")
+        if result.error_bound is not None:
+            print("error bound: (" + ", ".join(f"{100*e:.1e}" for e in result.error_bound)
+                  + ") pp")
     return EXIT_OK
 
 
@@ -286,10 +291,11 @@ def _row_payload(row: ComputedRow) -> dict:
     methods = {c.result.method for c in (row.old, row.new) if c.result is not None}
     if methods:
         payload["method"] = sorted(methods)[0] if len(methods) == 1 else sorted(methods)
-    stderrs = [c.result.mc_stderr for c in (row.old, row.new)
-               if c.result is not None and c.result.mc_stderr is not None]
-    if stderrs:
-        payload["stderr"] = [list(s) for s in stderrs]
+    for key, attr in (("stderr", "mc_stderr"), ("error_bound", "error_bound")):
+        values = [getattr(c.result, attr) for c in (row.old, row.new)
+                  if c.result is not None and getattr(c.result, attr) is not None]
+        if values:
+            payload[key] = [list(v) for v in values]
     return payload
 
 

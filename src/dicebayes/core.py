@@ -270,6 +270,7 @@ class PosteriorResult:
     entropy_nats: float
     method: str
     mc_stderr: Optional[tuple] = None
+    error_bound: Optional[tuple] = None     # per face, absolute, deterministic routes
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -278,11 +279,14 @@ class PosteriorResult:
             raise ValueError("entropy_nats inconsistent with distribution")
         if self.mc_stderr is not None:
             object.__setattr__(self, "mc_stderr", tuple(float(s) for s in self.mc_stderr))
+        if self.error_bound is not None:
+            object.__setattr__(self, "error_bound",
+                               tuple(float(e) for e in self.error_bound))
 
     @classmethod
-    def from_distribution(cls, dist: Distribution, method: str,
-                          mc_stderr=None) -> "PosteriorResult":
-        return cls(dist, shannon_entropy(dist), method, mc_stderr)
+    def from_distribution(cls, dist: Distribution, method: str, mc_stderr=None,
+                          error_bound=None) -> "PosteriorResult":
+        return cls(dist, shannon_entropy(dist), method, mc_stderr, error_bound)
 
 
 # --- entropy / divergence functionals ------------------------------------

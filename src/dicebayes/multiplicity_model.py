@@ -1,9 +1,27 @@
 """Multiplicity-model posteriors and the large-N hyperplane posteriors.
 
 The finite-N multiplicity model has no closed form: posteriors are ratios of
-integrals over the whole simplex. The sum over average-compatible frequency
-vectors is collapsed with a generating-polynomial identity: with
-S(p, z) = sum_l p_l z^l and s = a*N,
+integrals over the whole simplex. With h_k(p) = p^k / Gamma(L p + 1), a sum
+over the count vectors nv of N throws with pip sum s = a*N,
+
+    old throw:  P_i ~ sum_nv multinomial(nv) (N_i/N) I(nv)
+    new throw:  P_i ~ sum_nv multinomial(nv) I(nv + e_i)
+    I(k) = int_simplex prod_l h_{k_l}(p_l) dp
+
+The symmetric model is answered on a lattice (method="deterministic"): on
+the grid p = j/M, I(k) is entry M of the convolution of the six per-face
+sequences h_{k_l}(j/M), with weight 1/2 at j = 0 and j = M. I(k) depends
+only on the sorted counts, so it is computed once per count partition. Each
+face is tilted by exp(L psi(L/6 + 1) p), which centres it at p = 1/6 (the
+tilts multiply to a constant on the simplex), scaled by its maximum and
+trimmed to the entries whose exp does not underflow, so large L neither
+overflows nor costs more. The error falls as M^-2: the result is the
+Richardson extrapolation of M and 2M, their difference / 3 its error bound,
+and M doubles from a size set by L until that bound is within 1e-5.
+
+Monte Carlo (method="mc", the default of the model functions) samples the
+simplex uniformly and collapses the sum over frequency vectors with a
+generating-polynomial identity: with S(p, z) = sum_l p_l z^l,
 
     sum_nv multinomial(nv) prod_l p_l^{N_l}          = [z^s] S^N
     sum_nv multinomial(nv) (N_i/N) prod_l p_l^{N_l}  = p_i [z^s'] S^(N-1),  s' = s - i
@@ -15,7 +33,8 @@ left) that can still reach those six. It runs on row blocks of a few thousand
 points with faces on the leading axis, so its coefficient rows stay in cache.
 The per-point data depends only on (N, s), so it is cached and shared across
 L values and across old/new queries; the log-weights of the latest L are
-cached beside it, shared by the old and new throw.
+cached beside it, shared by the old and new throw. It also covers the
+base-weighted model, which has no permutation symmetry.
 
 In the large-N regime both old-throw and new-throw posteriors reduce to the
 same mean over the average slice of the simplex, weighted by the model's
@@ -29,19 +48,18 @@ import warnings
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
-from .core import (Average, DegeneratePolytope, DegenerateWeights, Distribution,
-                   PosteriorResult, ANALYTIC_LIMIT, DETERMINISTIC_QUAD, MONTE_CARLO,
-                   OLD, N_FACES)
-from .combinatorics import _pip_total
+from .core import (Average, BudgetExhausted, DegeneratePolytope, DegenerateWeights,
+                   Distribution, PosteriorResult, ANALYTIC_LIMIT, DETERMINISTIC_QUAD,
+                   MONTE_CARLO, OLD, N_FACES)
+from .combinatorics import _constrained_counts, _pip_total
 from .simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator,
                                   build_constraint_polytope, make_rng,
-                                  posterior_mean_polytope, posterior_mean_simplex,
-                                  sample_simplex_uniform)
+                                  posterior_mean_polytope, sample_simplex_uniform)
 
 
-# --- finite-N kernel -------------------------------------------------------
+# --- finite-N Monte Carlo kernel ------------------------------------------
 
 # Points per block in the kernel: a block's few dozen coefficient rows then fit
 # in cache, where whole 200k-point batches spill to memory.
@@ -152,6 +170,120 @@ def _multiplicity_log_density(points: np.ndarray, scale: float,
     return lw
 
 
+# --- finite-N lattice -------------------------------------------------------
+
+# Richardson target of the lattice, absolute probability per face (0.001 pp).
+_LATTICE_TOL = 1e-5
+# Grid sizes: the first grid resolves the tilted per-face peak, (6L)^(-1/2)
+# wide, with at least 8 points; the doubling stops at _MAX_GRID.
+_MIN_GRID = 500
+_MAX_GRID = 2 ** 20
+# Below this a log value's exp underflows out of the normal doubles.
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+class _Lattice:
+    """Simplex integrals I(k) = int prod_v h_{k_v}(p_v) dp, h_k(p) = p^k / Gamma(L p + 1),
+    on the grid p = j/M, each up to one factor common to every k.
+
+    I(k) is entry M of the convolution of the six per-face sequences
+    h_{k_v}(j/M), j = 0..M, with weight 1/2 at j = 0 and j = M. Each face is
+    tilted by exp(L psi(L/6 + 1) p), which moves the peak of 1/Gamma(L p + 1)
+    to p = 1/6; the six tilts multiply to a constant on the simplex. Every
+    sequence is kept as (first index, values scaled to a maximum of 1, log
+    scale); a face keeps the entries whose exp does not underflow. I(k) is
+    one dot product of the convolutions of its three largest and its three
+    smallest counts, which are built from cached prefixes.
+    """
+
+    def __init__(self, scale: float, grid: int):
+        self.grid = grid
+        p = np.arange(grid + 1) / grid
+        with np.errstate(divide="ignore"):
+            self._log_p = np.log(p)
+        self._log_h0 = scale * digamma(scale / 6 + 1) * p - gammaln(scale * p + 1)
+        self._log_h0[[0, grid]] += math.log(0.5)
+        self._products: dict = {}
+
+    def _product(self, ks: tuple):
+        """The convolution of the faces with counts ks, entries past M dropped."""
+        if ks in self._products:
+            return self._products[ks]
+        if len(ks) == 1:
+            logv = self._log_h0 + ks[0] * self._log_p if ks[0] else self._log_h0
+            top = float(logv.max())
+            keep = np.flatnonzero(logv - top > _LOG_TINY)
+            lo, vals, log_s = int(keep[0]), np.exp(logv[keep[0]:keep[-1] + 1] - top), top
+        else:
+            lo_a, a, log_a = self._product(ks[:-1])
+            lo_b, b, log_b = self._product(ks[-1:])
+            lo, log_s = lo_a + lo_b, log_a + log_b
+            # entries past M cannot reach entry M of the full convolution
+            vals = np.convolve(a, b)[:max(self.grid - lo + 1, 0)] if a.size else a
+            top = float(vals.max()) if vals.size else 0.0
+            if top > 0.0:
+                vals, log_s = vals / top, log_s + math.log(top)
+        self._products[ks] = (lo, vals, log_s)
+        return self._products[ks]
+
+    def log_integral(self, key: tuple) -> float:
+        """ln I(key) for counts sorted in decreasing order."""
+        lo_a, a, log_a = self._product(key[:3])
+        lo_b, b, log_b = self._product(key[3:])
+        # sum over j of a[j] b[M - j], on the indices both sequences hold
+        j0 = max(lo_a, self.grid - lo_b - b.size + 1)
+        j1 = min(lo_a + a.size, self.grid - lo_b + 1)
+        if j0 >= j1:
+            return -math.inf
+        total = float(a[j0 - lo_a:j1 - lo_a]
+                      @ b[self.grid - j1 - lo_b + 1:self.grid - j0 - lo_b + 1][::-1])
+        return math.log(total) + log_a + log_b if total > 0.0 else -math.inf
+
+
+def _lattice_probs(counts: np.ndarray, n: int, throw: str, lattice: _Lattice) -> np.ndarray:
+    """Posterior on one grid: a sum over the count vectors n of
+    multinomial(n) I(n) n_i / N (old throw) or multinomial(n) I(n + e_i) (new)."""
+    log_mult = -gammaln(counts + 1.0).sum(axis=1)      # ln N! is common to all
+    keys = counts if throw == OLD else counts[:, None, :] + np.eye(N_FACES, dtype=counts.dtype)
+    keys = -np.sort(-keys.reshape(-1, N_FACES), axis=1)
+    # one integer per sorted key, in base n + 2 since no count exceeds n + 1
+    codes = keys @ (n + 2) ** np.arange(N_FACES, dtype=np.int64)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    log_i = np.array([lattice.log_integral(tuple(key)) for key in keys[first].tolist()])
+    log_w = log_i[inverse].reshape(counts.shape[0], -1) + log_mult[:, None]
+    w = np.exp(log_w - log_w.max())
+    probs = (w[:, 0] @ counts) / n if throw == OLD else w.sum(axis=0)
+    return probs / probs.sum()
+
+
+def _lattice_posterior(n: int, s: int, scale: float, throw: str):
+    """Richardson-extrapolated lattice posterior and its per-face error bound.
+
+    The lattice error falls as M^-2, so P(2M) + (P(2M) - P(M)) / 3 removes its
+    leading term and |P(2M) - P(M)| / 3 bounds what is left. M doubles until
+    that bound is within _LATTICE_TOL on every face, or the next grid would
+    pass _MAX_GRID (warns BudgetExhausted).
+    """
+    grid = max(_MIN_GRID, 1 << math.ceil(math.log2(8.0 * math.sqrt(6.0 * scale))))
+    if 2 * grid > _MAX_GRID:
+        raise ValueError(f"multiplicity scale {scale:g} needs a lattice finer than "
+                         f"{_MAX_GRID} points per face; ask for the parameter-large "
+                         f"limit instead (--param large)")
+    counts = _constrained_counts(n, s)
+    coarse = _lattice_probs(counts, n, throw, _Lattice(scale, grid))
+    while True:
+        grid *= 2
+        fine = _lattice_probs(counts, n, throw, _Lattice(scale, grid))
+        bound = np.abs(fine - coarse) / 3.0
+        if bound.max() <= _LATTICE_TOL or 2 * grid > _MAX_GRID:
+            break
+        coarse = fine
+    if bound.max() > _LATTICE_TOL:
+        warnings.warn(f"lattice stopped at {grid} points per face with Richardson "
+                      f"error bound {bound.max():.2e}", BudgetExhausted)
+    return np.maximum(fine + (fine - coarse) / 3.0, 0.0), bound
+
+
 # Below this Kish effective sample size the Monte Carlo ratio and its stderr
 # rest on a handful of samples and are not reported as trustworthy.
 _MIN_ESS = 100
@@ -177,14 +309,12 @@ def _finite_posterior(n: int, a: Average, scale: float,
             Distribution.from_weights(probs), MONTE_CARLO, mc_stderr=stderr)
 
     if method == "deterministic":
-        def fn(pts):
-            log_a, old = _finite_kernel(pts, n, s)
-            logw = log_a + _multiplicity_log_density(pts, scale, base)
-            return logw, (old if throw == OLD else pts)
-
-        probs, _, _ = posterior_mean_simplex(fn, budget=budget, method="deterministic")
+        if base is not None:
+            raise ValueError("the lattice covers the symmetric multiplicity model "
+                             "only; use method='mc' with a base distribution")
+        probs, bound = _lattice_posterior(n, s, scale, throw)
         return PosteriorResult.from_distribution(
-            Distribution.from_weights(probs), DETERMINISTIC_QUAD)
+            Distribution.from_weights(probs), DETERMINISTIC_QUAD, error_bound=bound)
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -192,7 +322,12 @@ def _finite_posterior(n: int, a: Average, scale: float,
 def multiplicity_posterior(n: int, a: Average, scale: float, throw: str,
                            budget: int = 2_000_000, seed: int = DEFAULT_SEED,
                            method: str = "mc") -> PosteriorResult:
-    """Posterior for an old or new throw under the symmetric multiplicity model."""
+    """Posterior for an old or new throw under the symmetric multiplicity model.
+
+    method="mc" samples `budget` points from the streams of `seed`;
+    method="deterministic" is the lattice, which sizes its own grid and
+    ignores both.
+    """
     return _finite_posterior(n, a, scale, None, throw, budget, seed, method)
 
 
@@ -201,7 +336,10 @@ def generalized_multiplicity_posterior(n: int, a: Average, scale: float,
                                        budget: int = 2_000_000,
                                        seed: int = DEFAULT_SEED,
                                        method: str = "mc") -> PosteriorResult:
-    """Multiplicity model tilted toward a strictly positive base distribution."""
+    """Multiplicity model tilted toward a strictly positive base distribution.
+
+    Monte Carlo only: the lattice needs the symmetric model.
+    """
     if any(p <= 0 for p in base):
         raise ValueError("base distribution must be strictly positive")
     return _finite_posterior(n, a, scale, base, throw, budget, seed, method)

@@ -2,8 +2,9 @@
 
 The regime (finite or large N), the model and its parameter decide the route:
 
-- finite N: the closed forms (fair, Johnson, base-weighted Johnson) or the
-  multiplicity integral; a parameter marked large (math.inf) makes the model
+- finite N: the closed forms (fair, Johnson, base-weighted Johnson), the
+  multiplicity lattice (symmetric model) or the multiplicity Monte Carlo
+  (base-weighted model); a parameter marked large (math.inf) makes the model
   collapse to fair throwing at that N;
 - large N, finite parameter: the Johnson or multiplicity slice integral, old
   and new throws alike;
@@ -43,7 +44,9 @@ def posterior(query: Query, *, budget: Optional[int] = None,
 
     `budget` bounds the Monte Carlo samples or quadrature evaluations of a
     numeric route; None keeps that method's own default. `seed` selects the
-    Monte Carlo streams of the finite-N multiplicity model.
+    Monte Carlo streams of the base-weighted finite-N multiplicity model.
+    Neither reaches the symmetric finite-N multiplicity lattice, which sizes
+    its grid from L and its own error target.
     """
     model, a, throw = query.model, query.average, query.throw
     numeric = {} if budget is None else {"budget": budget}
@@ -64,7 +67,7 @@ def posterior(query: Query, *, budget: Optional[int] = None,
                 return johnson_posterior(n, a, param, throw)
             return generalized_johnson_posterior(n, a, param, model.base, throw)
         if model.base is None:
-            return multiplicity_posterior(n, a, param, throw, seed=seed, **numeric)
+            return multiplicity_posterior(n, a, param, throw, method="deterministic")
         return generalized_multiplicity_posterior(n, a, param, model.base, throw,
                                                   seed=seed, **numeric)
 

@@ -89,6 +89,21 @@ class TestEval:
         assert main(["eval", "--n", "0", "--avg", "5", "--model", "johnson",
                      "--param", "2", "--throw", "new"]) == 3
 
+    def test_finite_n_multiplicity_reports_its_error_bound(self, capsys):
+        argv = ["eval", "--n", "2", "--avg", "5", "--model", "multiplicity",
+                "--param", "1", "--throw", "old"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(0.0, 0.0, 0.0, 25.2, 49.6, 25.2)" in out
+        assert "method: deterministic-quad" in out
+        line, = [l for l in out.splitlines() if l.startswith("error bound: (")]
+        assert line.endswith(") pp") and "stderr" not in out
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "deterministic-quad"
+        assert len(payload["error_bound"]) == 6 and max(payload["error_bound"]) <= 1e-5
+        assert "stderr" not in payload
+
     def test_base_with_an_empty_face_is_usage_error(self):
         assert main(["eval", "--large-n", "--avg", "5", "--model", "johnson",
                      "--param", "5", "--m", "0,1,1,1,1,1", "--throw", "old"]) == 3
@@ -129,6 +144,21 @@ class TestReproduce:
         row_models = [r["model"] for r in docs[0]["rows"]]
         assert row_models[0] == "me"
         assert "johnson" in row_models and "multiplicity" in row_models
+
+    def test_json_rows_carry_lattice_error_bounds(self, capsys):
+        assert main(["reproduce", "--only", "n2-a5", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)[0]["rows"]
+        finite = [r for r in rows if r["model"] == "multiplicity" and r["param"] != "large"]
+        assert len(finite) == 3
+        for row in finite:
+            assert row["method"] == "deterministic-quad" and "stderr" not in row
+            assert len(row["error_bound"]) == 2
+            assert max(max(bound) for bound in row["error_bound"]) <= 1e-5
+
+    def test_full_budget_tables_match_the_print(self, capsys):
+        # every published cell at the full budget and the 0.3 pp tolerance
+        assert main(["reproduce", "--diff"]) == 0
+        assert "296 cells compared, 0 deviation(s)" in capsys.readouterr().out
 
     def test_csv_deterministic_across_runs(self):
         args = ["reproduce", "--only", "n2-a6", "--format", "csv",

@@ -1,6 +1,8 @@
 """Multiplicity-model posteriors, large-N slice integrals, and the routing of
 `posterior()`."""
+import json
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -17,7 +19,9 @@ from dicebayes import (Average, BudgetExhausted, ContradictoryData,
                        johnson_posterior, maxent_burg, maxent_shannon, min_kl,
                        multiplicity_large_n, multiplicity_posterior, posterior)
 from dicebayes.cli import main
-from dicebayes.multiplicity_model import _ROW_BLOCK, _finite_kernel
+from dicebayes.combinatorics import _constrained_counts
+from dicebayes.multiplicity_model import (_LATTICE_TOL, _ROW_BLOCK, _Lattice,
+                                          _finite_kernel, _lattice_probs)
 from dicebayes.simplex_integration import make_rng, sample_simplex_uniform
 
 A5 = Average(Fraction(5))
@@ -86,16 +90,14 @@ class TestFinitePosterior:
         assert devs[-1] < 0.01
 
     def test_mc_matches_deterministic(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BudgetExhausted)
-            for throw in (OLD, NEW):
-                mc = multiplicity_posterior(2, A5, 1.0, throw, budget=1_000_000)
-                det = multiplicity_posterior(2, A5, 1.0, throw,
-                                             method="deterministic", budget=300_000)
-                tol = np.maximum(4 * np.asarray(mc.mc_stderr), 5e-4)
-                gap = np.abs(np.asarray(mc.distribution.probs)
-                             - np.asarray(det.distribution.probs))
-                assert np.all(gap <= tol)
+        # Monte Carlo against the lattice
+        for throw in (OLD, NEW):
+            mc = multiplicity_posterior(2, A5, 1.0, throw, budget=1_000_000)
+            det = multiplicity_posterior(2, A5, 1.0, throw, method="deterministic")
+            tol = np.maximum(4 * np.asarray(mc.mc_stderr), 5e-4)
+            gap = np.abs(np.asarray(mc.distribution.probs)
+                         - np.asarray(det.distribution.probs))
+            assert np.all(gap <= tol)
 
     def test_seed_determinism(self):
         one = multiplicity_posterior(2, A5, 1.0, OLD, budget=200_000, seed=42)
@@ -111,11 +113,18 @@ class TestFinitePosterior:
                                                  budget=400_000)
         assert max_dev(plain.distribution, gen.distribution) < 2e-3
 
-    def test_collapsed_weights_warn(self):
+    def test_collapsed_weights_warn(self, capsys):
         # at L = 1e6 the importance weights sit on about one sample
         with pytest.warns(DegenerateWeights):
+            multiplicity_posterior(2, A5, 1e6, OLD)
+        # the routed answer comes from the lattice, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["eval", "--n", "2", "--avg", "5", "--model", "multiplicity",
-                         "--param", "1000000", "--throw", "old"]) == 0
+                         "--param", "1000000", "--throw", "old", "--format", "json"]) == 0
+        probs = json.loads(capsys.readouterr().out)["probs"]
+        assert 100 * np.asarray(probs[3:]) == pytest.approx([33.3333, 33.3335, 33.3333],
+                                                           rel=0, abs=1e-3)
 
     def test_table_cell_weights_do_not_warn(self):
         with warnings.catch_warnings():
@@ -127,6 +136,68 @@ class TestFinitePosterior:
         rev = multiplicity_posterior(2, A5.reversed(), 1.0, OLD, budget=400_000)
         assert max_dev(fwd.distribution,
                        rev.distribution.reversed()) < 4 * max(fwd.mc_stderr) + 1e-4
+
+
+# (n, a) of the paper's finite-N tables that some n throws realize
+TABLE_DATA = [(n, a) for n in (1, 2, 6, 12) for a in ("6", "5", "7/2")
+              if (n, a) != (1, "7/2")]
+
+
+def lattice(n, a, scale, throw):
+    return multiplicity_posterior(n, Average.parse(a), scale, throw, method="deterministic")
+
+
+class TestLattice:
+    @pytest.mark.parametrize("n, a", TABLE_DATA)
+    def test_old_throw_mean_is_the_average(self, n, a):
+        for scale in (1.0, 5.0, 50.0):
+            res = lattice(n, a, scale, OLD)
+            assert res.distribution.mean_value() == pytest.approx(float(Fraction(a)),
+                                                                  rel=0, abs=1e-12)
+            assert max(res.error_bound) <= _LATTICE_TOL
+
+    @pytest.mark.parametrize("n, a", TABLE_DATA)
+    def test_face_reversal(self, n, a):
+        for throw in (OLD, NEW):
+            fwd = lattice(n, a, 5.0, throw)
+            rev = lattice(n, str(7 - Fraction(a)), 5.0, throw)
+            assert max_dev(fwd.distribution, rev.distribution.reversed()) < 1e-12
+
+    def test_error_falls_as_grid_squared(self):
+        counts = _constrained_counts(6, 30)
+        for throw in (OLD, NEW):
+            p = [_lattice_probs(counts, 6, throw, _Lattice(1.0, grid))
+                 for grid in (500, 1000, 2000)]
+            first, second = p[0] - p[1], p[1] - p[2]
+            face = np.argmax(np.abs(second))
+            assert 3 <= first[face] / second[face] <= 5
+
+    @pytest.mark.parametrize("scale, faces_4_to_6", [
+        (1.0, [25.195, 49.609, 25.195]),        # the misprinted n2-a5 cell
+        (1e4, [33.327, 33.347, 33.327])])
+    def test_converged_values(self, scale, faces_4_to_6):
+        res = lattice(2, "5", scale, OLD)
+        assert 100 * np.asarray(res.distribution.probs[3:]) == pytest.approx(
+            faces_4_to_6, rel=0, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [2, 12])
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
+    def test_large_scale_approaches_fair(self, n, scale):
+        for throw in (OLD, NEW):
+            fair = fair_posterior(n, A5, throw).distribution
+            assert max_dev(lattice(n, "5", scale, throw).distribution, fair) <= n / scale
+
+    def test_scale_beyond_the_grid_is_refused(self, capsys):
+        start = time.perf_counter()
+        assert main(["eval", "--n", "2", "--avg", "5", "--model", "multiplicity",
+                     "--param", "1e12", "--throw", "old"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "--param large" in capsys.readouterr().err
+
+    def test_base_weighted_lattice_is_refused(self):
+        base = Distribution.from_weights((1, 2, 3, 4, 5, 6))
+        with pytest.raises(ValueError):
+            generalized_multiplicity_posterior(2, A5, 5.0, base, OLD, method="deterministic")
 
 
 class TestLargeN:
@@ -208,6 +279,7 @@ class TestPosteriorRoutes:
         assert routed.distribution == direct.distribution
         assert routed.method == direct.method
         assert routed.mc_stderr == direct.mc_stderr
+        assert routed.error_bound == direct.error_bound
 
     @pytest.mark.parametrize("throw", [OLD, NEW])
     def test_finite_n_fair(self, throw):
@@ -223,7 +295,7 @@ class TestPosteriorRoutes:
     def test_finite_n_multiplicity(self, throw):
         self.assert_same(
             posterior(Query(Exact(6), A5, throw, Multiplicity(5.0)), budget=20_000, seed=3),
-            multiplicity_posterior(6, A5, 5.0, throw, budget=20_000, seed=3))
+            multiplicity_posterior(6, A5, 5.0, throw, method="deterministic"))
 
     def test_finite_n_base_weighted(self):
         self.assert_same(posterior(Query(Exact(6), A5, NEW, Johnson(2.0, BASE))),
