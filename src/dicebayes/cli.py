@@ -28,17 +28,13 @@ EXIT_CONTRADICTORY = 2
 EXIT_USAGE = 3
 
 ENV_SEED = "DICEBAYES_SEED"
-DEFAULT_BUDGET = 2_000_000
-DEFAULT_QUAD_BUDGET = 1_000_000
-FAST_BUDGET = 400_000
-FAST_QUAD_BUDGET = 200_000
 
 # diff tolerances, percent points / nats
 TOL_CLOSED_PP = 0.05
 TOL_NUMERIC_PP = 0.3
 TOL_FAST_PP = 0.5
 TOL_ENTROPY = 0.002          # closed-form cells
-TOL_ENTROPY_NUMERIC = 0.01   # Monte Carlo / quadrature cells
+TOL_ENTROPY_NUMERIC = 0.01   # lattice / Fourier cells
 _EPS = 1e-9
 
 # Cells where the published value is contradicted by independent recomputation
@@ -51,7 +47,7 @@ KNOWN_DISCREPANCIES = {
 
 
 # Warnings that `reproduce` collects per table row and reports in one line each.
-_CELL_WARNINGS = {BudgetExhausted: "stopped at their evaluation budget",
+_CELL_WARNINGS = {BudgetExhausted: "stopped short of their error target",
                   DegenerateWeights: "have degenerate Monte Carlo weights"}
 
 
@@ -205,8 +201,7 @@ def _row_model(model: str, param: Optional[str]):
     return Johnson(value) if model == "johnson" else Multiplicity(value)
 
 
-def _compute_row(ref: ReferenceTable, row: ReferenceRow, budget: int,
-                 quad_budget: int, seed: int) -> ComputedRow:
+def _compute_row(ref: ReferenceTable, row: ReferenceRow) -> ComputedRow:
     model, param = row.model, row.param
     if model == "me":
         cell = ComputedCell(_limit(maxent_shannon(ref.average).distribution))
@@ -214,10 +209,7 @@ def _compute_row(ref: ReferenceTable, row: ReferenceRow, budget: int,
     if model == "all-exchangeable":
         return ComputedRow(model, param, ComputedCell(None), ComputedCell(None))
 
-    if ref.is_large_n:
-        regime, budget = LargeN(_RATIO_LARGE.get(param)), quad_budget
-    else:
-        regime = Exact(ref.n)
+    regime = LargeN(_RATIO_LARGE.get(param)) if ref.is_large_n else Exact(ref.n)
     spec = _row_model(model, param)
     cells = []
     for throw, ref_cell in ((OLD, row.old), (NEW, row.new)):
@@ -229,8 +221,7 @@ def _compute_row(ref: ReferenceTable, row: ReferenceRow, budget: int,
             result = cells[0].result
         else:
             try:
-                result = posterior(Query(regime, ref.average, throw, spec),
-                                   budget=budget, seed=seed)
+                result = posterior(Query(regime, ref.average, throw, spec))
             except ContradictoryData:
                 result = None
         cells.append(ComputedCell(result, ref_cell.annotation))
@@ -346,10 +337,6 @@ def _cmd_reproduce(args) -> int:
     else:
         selected = list(tables)
 
-    fast = args.fast
-    budget = args.budget or (FAST_BUDGET if fast else DEFAULT_BUDGET)
-    quad_budget = FAST_QUAD_BUDGET if fast else DEFAULT_QUAD_BUDGET
-
     computed = {}
     flagged = {category: {} for category in _CELL_WARNINGS}
     for problem in selected:
@@ -359,7 +346,7 @@ def _cmd_reproduce(args) -> int:
             with warnings.catch_warnings(record=True) as caught:
                 for category in _CELL_WARNINGS:
                     warnings.simplefilter("always", category)
-                row = _compute_row(ref, ref_row, budget, quad_budget, args.seed)
+                row = _compute_row(ref, ref_row)
             computed[problem].append(row)
             for w in caught:
                 if w.category in flagged:
@@ -412,7 +399,7 @@ def _cmd_reproduce(args) -> int:
         ref = tables[problem]
         for row, ref_row in zip(computed[problem], ref.rows):
             cells += 2
-            failures.extend(_diff_row(problem, row, ref_row, fast))
+            failures.extend(_diff_row(problem, row, ref_row, args.fast))
     print(f"diff: {cells} cells compared, {len(failures)} deviation(s) beyond tolerance")
     for f in failures:
         print(f"  {f}")
@@ -423,9 +410,9 @@ def _cmd_reproduce(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"integration seed (default: ${ENV_SEED} or 0)")
+                        help=f"seed of eval's Monte Carlo route (default: ${ENV_SEED} or 0)")
     parser.add_argument("--budget", type=int, default=None,
-                        help="integration sample/evaluation budget")
+                        help="sample budget of eval's Monte Carlo route")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file of flag defaults (flags override)")
 
@@ -462,7 +449,7 @@ def build_parser() -> _Parser:
     rp.add_argument("--diff", action="store_true",
                     help="compare against the embedded reference values")
     rp.add_argument("--fast", action="store_true",
-                    help="smaller budgets, 0.5 pp tolerance")
+                    help="compare numeric cells at 0.5 pp instead of 0.3 pp")
     _add_common(rp)
     rp.set_defaults(func=_cmd_reproduce)
     return parser

@@ -18,16 +18,8 @@ class ContradictoryData(Exception):
     """No outcome frequencies are compatible with the observed average."""
 
 
-class DegeneratePolytope(Exception):
-    """The average-constraint slice of the simplex is a single point."""
-
-    def __init__(self, vertex):
-        super().__init__("constraint slice degenerates to a single point")
-        self.vertex = vertex
-
-
 class BudgetExhausted(Warning):
-    """An integrator stopped at its evaluation budget before reaching the target error."""
+    """A lattice or Fourier route stopped short of its error target."""
 
 
 class DegenerateWeights(Warning):

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import Average, Distribution, PosteriorResult, CLOSED_FORM, OLD, NEW, N_FACES
 from .combinatorics import _pip_total, enumerate_constrained_frequencies
@@ -27,6 +26,8 @@ def fair_posterior(n: int, a: Average, throw: str) -> PosteriorResult:
     if throw == NEW:
         _pip_total(n, a)    # contradictory data has no new throw either
         return PosteriorResult.from_distribution(Distribution.uniform(), CLOSED_FORM)
+    from scipy.special import gammaln      # scipy loads on first use; see __init__
+
     counts = _members(n, a)
     # ln N! is common to every member and cancels in the normalization;
     # ln c! is tabulated over c = 0..n and gathered per member and face

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import (Average, Distribution, NEG_INFINITY, Entropy,
                    FACE_VALUES, shannon_entropy, burg_entropy, kl_divergence)
@@ -39,6 +38,7 @@ def _exponential_family(lam: float, base: np.ndarray) -> np.ndarray:
 
 def _solve_tilt(a: float, base: np.ndarray) -> float:
     """Root of mean(lambda) = a; the mean is strictly increasing in lambda."""
+    from scipy.optimize import brentq      # scipy loads on first use; see __init__
 
     def mean_defect(lam: float) -> float:
         return float(_FACES @ _exponential_family(lam, base)) - a
@@ -85,6 +85,7 @@ def maxent_burg(a: Average) -> MaxentSolution:
     sum 1/(mu + lambda*i) = 1 on the domain where every term is positive; the
     outer root matches the mean. Endpoints come back as degenerate vertex limits.
     """
+    from scipy.optimize import brentq
     av = float(a)
     if av <= 1.0:
         return _vertex_solution(1, NEG_INFINITY, _pos_inf())

@@ -1,4 +1,4 @@
-"""Multiplicity-model posteriors and the large-N hyperplane posteriors.
+"""Multiplicity-model posteriors and the large-N slice posteriors.
 
 The finite-N multiplicity model has no closed form: posteriors are ratios of
 integrals over the whole simplex. With h_k(p) = p^k / Gamma(L p + 1), a sum
@@ -36,10 +36,11 @@ L values and across old/new queries; the log-weights of the latest L are
 cached beside it, shared by the old and new throw. It also covers the
 base-weighted model, which has no permutation symmetry.
 
-In the large-N regime both old-throw and new-throw posteriors reduce to the
-same mean over the average slice of the simplex, weighted by the model's
-density; johnson_large_n and multiplicity_large_n share one code path, a
-deterministic adaptive quadrature over the slice.
+In the large-N regime old and new throws have the same posterior: the mean
+over the slice sum_v v f_v = a of the simplex, weighted by the model's
+density, with a per-face error bound. The Johnson slice is a ratio of
+saddle-tilted Fourier integrals (quad's error estimates bound it); the
+multiplicity slice is a Richardson-extrapolated lattice sum, as at finite N.
 """
 from __future__ import annotations
 
@@ -48,15 +49,15 @@ import warnings
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (Average, BudgetExhausted, DegeneratePolytope, DegenerateWeights,
-                   Distribution, PosteriorResult, ANALYTIC_LIMIT, DETERMINISTIC_QUAD,
+from .core import (Average, BudgetExhausted, DegenerateWeights, Distribution,
+                   PosteriorResult, ANALYTIC_LIMIT, DETERMINISTIC_QUAD, FACE_VALUES,
                    MONTE_CARLO, OLD, N_FACES)
 from .combinatorics import _constrained_counts, _pip_total
-from .simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator,
-                                  build_constraint_polytope, make_rng,
-                                  posterior_mean_polytope, sample_simplex_uniform)
+from .maxent import min_kl
+from .simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator, make_rng,
+                                  sample_simplex_uniform)
 
 
 # --- finite-N Monte Carlo kernel ------------------------------------------
@@ -164,6 +165,7 @@ def _kernel_batches(n: int, s: int, seed: int, budget: int) -> _KernelBatches:
 def _multiplicity_log_density(points: np.ndarray, scale: float,
                               base: Optional[Distribution]) -> np.ndarray:
     """log of the multiplicity prior density up to its normalization constant."""
+    from scipy.special import gammaln      # scipy loads on first use; see __init__
     lw = -gammaln(scale * points + 1.0).sum(axis=1)
     if base is not None:
         lw = lw + scale * (points @ np.log(np.asarray(base.probs)))
@@ -180,6 +182,15 @@ _MIN_GRID = 500
 _MAX_GRID = 2 ** 20
 # Below this a log value's exp underflows out of the normal doubles.
 _LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_HALF = math.log(0.5)      # the end weight of the trapezoid rule
+
+
+def _scaled(logv: np.ndarray):
+    """A face sequence from its logs, as (first index kept, values scaled to a
+    maximum of 1, log scale): only the entries whose exp does not underflow."""
+    top = float(logv.max())
+    keep = np.flatnonzero(logv - top > _LOG_TINY)
+    return int(keep[0]), np.exp(logv[keep[0]:keep[-1] + 1] - top), top
 
 
 class _Lattice:
@@ -197,12 +208,13 @@ class _Lattice:
     """
 
     def __init__(self, scale: float, grid: int):
+        from scipy.special import digamma, gammaln
         self.grid = grid
         p = np.arange(grid + 1) / grid
         with np.errstate(divide="ignore"):
             self._log_p = np.log(p)
         self._log_h0 = scale * digamma(scale / 6 + 1) * p - gammaln(scale * p + 1)
-        self._log_h0[[0, grid]] += math.log(0.5)
+        self._log_h0[[0, grid]] += _LOG_HALF
         self._products: dict = {}
 
     def _product(self, ks: tuple):
@@ -210,10 +222,8 @@ class _Lattice:
         if ks in self._products:
             return self._products[ks]
         if len(ks) == 1:
-            logv = self._log_h0 + ks[0] * self._log_p if ks[0] else self._log_h0
-            top = float(logv.max())
-            keep = np.flatnonzero(logv - top > _LOG_TINY)
-            lo, vals, log_s = int(keep[0]), np.exp(logv[keep[0]:keep[-1] + 1] - top), top
+            lo, vals, log_s = _scaled(self._log_h0 + ks[0] * self._log_p if ks[0]
+                                      else self._log_h0)
         else:
             lo_a, a, log_a = self._product(ks[:-1])
             lo_b, b, log_b = self._product(ks[-1:])
@@ -243,6 +253,7 @@ class _Lattice:
 def _lattice_probs(counts: np.ndarray, n: int, throw: str, lattice: _Lattice) -> np.ndarray:
     """Posterior on one grid: a sum over the count vectors n of
     multinomial(n) I(n) n_i / N (old throw) or multinomial(n) I(n + e_i) (new)."""
+    from scipy.special import gammaln
     log_mult = -gammaln(counts + 1.0).sum(axis=1)      # ln N! is common to all
     keys = counts if throw == OLD else counts[:, None, :] + np.eye(N_FACES, dtype=counts.dtype)
     keys = -np.sort(-keys.reshape(-1, N_FACES), axis=1)
@@ -256,32 +267,39 @@ def _lattice_probs(counts: np.ndarray, n: int, throw: str, lattice: _Lattice) ->
     return probs / probs.sum()
 
 
-def _lattice_posterior(n: int, s: int, scale: float, throw: str):
-    """Richardson-extrapolated lattice posterior and its per-face error bound.
+def _richardson(probs_at, grid: int, tol: float, max_grid: int, terms: int = 1):
+    """Richardson extrapolation of a lattice posterior whose error falls as M^-2.
 
-    The lattice error falls as M^-2, so P(2M) + (P(2M) - P(M)) / 3 removes its
-    leading term and |P(2M) - P(M)| / 3 bounds what is left. M doubles until
-    that bound is within _LATTICE_TOL on every face, or the next grid would
-    pass _MAX_GRID (warns BudgetExhausted).
+    P(2M) + (P(2M) - P(M)) / 3 removes the leading term and |P(2M) - P(M)| / 3
+    bounds what is left; the bound is `terms` times that. M doubles from
+    `grid` until the bound is within `tol` on every face, or the next grid
+    would pass `max_grid` (warns BudgetExhausted). Returns (probs, bound).
     """
+    coarse = probs_at(grid)
+    while True:
+        grid *= 2
+        fine = probs_at(grid)
+        bound = terms * np.abs(fine - coarse) / 3.0
+        if bound.max() <= tol or 2 * grid > max_grid:
+            break
+        coarse = fine
+    if bound.max() > tol:
+        warnings.warn(f"lattice stopped at {grid} points per face with Richardson "
+                      f"error bound {bound.max():.2e}", BudgetExhausted)
+    return np.maximum(fine + (fine - coarse) / 3.0, 0.0), bound
+
+
+def _lattice_posterior(n: int, s: int, scale: float, throw: str):
+    """The lattice posterior and its per-face error bound, from a first grid
+    that resolves the tilted per-face peak."""
     grid = max(_MIN_GRID, 1 << math.ceil(math.log2(8.0 * math.sqrt(6.0 * scale))))
     if 2 * grid > _MAX_GRID:
         raise ValueError(f"multiplicity scale {scale:g} needs a lattice finer than "
                          f"{_MAX_GRID} points per face; ask for the parameter-large "
                          f"limit instead (--param large)")
     counts = _constrained_counts(n, s)
-    coarse = _lattice_probs(counts, n, throw, _Lattice(scale, grid))
-    while True:
-        grid *= 2
-        fine = _lattice_probs(counts, n, throw, _Lattice(scale, grid))
-        bound = np.abs(fine - coarse) / 3.0
-        if bound.max() <= _LATTICE_TOL or 2 * grid > _MAX_GRID:
-            break
-        coarse = fine
-    if bound.max() > _LATTICE_TOL:
-        warnings.warn(f"lattice stopped at {grid} points per face with Richardson "
-                      f"error bound {bound.max():.2e}", BudgetExhausted)
-    return np.maximum(fine + (fine - coarse) / 3.0, 0.0), bound
+    return _richardson(lambda m: _lattice_probs(counts, n, throw, _Lattice(scale, m)),
+                       grid, _LATTICE_TOL, _MAX_GRID)
 
 
 # Below this Kish effective sample size the Monte Carlo ratio and its stderr
@@ -345,58 +363,209 @@ def generalized_multiplicity_posterior(n: int, a: Average, scale: float,
     return _finite_posterior(n, a, scale, base, throw, budget, seed, method)
 
 
-# --- large-N hyperplane posteriors ----------------------------------------
+# --- large-N slice posteriors -----------------------------------------------
 
-# Convergence target for the slice quadratures, in absolute probability units
-# on the ratio estimate.  The indicator is conservative by 1-2 orders of
-# magnitude once the adaptive refinement has resolved the peak, but stopping
-# before that point leaves real errors near the indicator's scale, so the
-# target must sit well below the printed 0.1 pp resolution.
-_LARGE_N_ATOL = 5e-3
+# Error target of a slice posterior, absolute probability per face (0.05 pp,
+# half a printed digit); a larger bound warns BudgetExhausted.
+_SLICE_TOL = 5e-4
+# Slice lattice sizes: the first grid is a multiple of the average's
+# denominator, at least _MIN_SLICE_GRID, with a point in the narrowest feature
+# of the weights and of the slice; the doubling stops at _MAX_SLICE_GRID,
+# where the arrays reach tens of megabytes.
+_MIN_SLICE_GRID = 60
+_MAX_SLICE_GRID = 1024
 
 
-def _large_n_mean(a: Average, log_density, budget: int) -> PosteriorResult:
-    """Mean of f over the average slice, weighted by exp(log_density(f))."""
-    try:
-        poly = build_constraint_polytope(a)
-    except DegeneratePolytope as deg:
-        return PosteriorResult.from_distribution(deg.vertex, ANALYTIC_LIMIT)
+def _vertex(face: int) -> PosteriorResult:
+    return PosteriorResult.from_distribution(Distribution.vertex(face), ANALYTIC_LIMIT)
 
-    def fn(pts):
-        return log_density(pts), pts
 
-    probs, _, _ = posterior_mean_polytope(poly, fn, budget=budget, method="deterministic",
-                                          atol=_LARGE_N_ATOL)
-    return PosteriorResult.from_distribution(
-        Distribution.from_weights(np.maximum(probs, 0.0)), DETERMINISTIC_QUAD)
+def _johnson_fourier(a: float, alpha: np.ndarray):
+    """Mean of f ~ Dirichlet(alpha) on the slice sum v f_v = a, by Fourier inversion.
+
+    With G_v ~ Gamma(alpha_v) independent and c_v = v - a, the slice mean is
+    N_i / sum N with N_i = E[G_i delta(sum c_v G_v)], and
+    N_i = alpha_i int_0^inf Re[phi(t) / (1 - i t c_i)] dt,
+    phi(t) = prod_v (1 - i t c_v)^-alpha_v. The integral is first tilted to
+    its saddle point: theta solves sum alpha_v c_v / (1 + theta c_v) = 0 with
+    every 1 + theta c_v > 0; c_v becomes c_v / (1 + theta c_v), N_i gains the
+    factor 1 / (1 + theta c_i), and t is scaled by the tilted standard
+    deviation. Without the tilt the terms cancel and the sum is ruined.
+    Returns (probs, per-face error bound from quad's error estimates).
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    c = np.asarray(FACE_VALUES, dtype=float) - a
+    # the tilt only conditions the integral, so any root inside the bracket will do
+    lo, hi = -1.0 / c[-1], -1.0 / c[0]
+    theta = brentq(lambda th: float(np.sum(alpha * c / (1.0 + th * c))),
+                   lo * (1.0 - 1e-14), hi * (1.0 - 1e-14))
+    tilt = 1.0 + theta * c
+    ct = c / tilt
+    ct /= math.sqrt(float(alpha @ ct ** 2))
+
+    def phi(t):
+        return np.exp(-(alpha @ np.log1p(-1j * t * ct)))
+
+    values, errors = np.empty(N_FACES), np.empty(N_FACES)
+    for i in range(N_FACES):
+        # full_output keeps quad from warning; its error estimate is the bound
+        values[i], errors[i] = quad(lambda t: (phi(t) / (1.0 - 1j * t * ct[i])).real,
+                                    0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200,
+                                    full_output=1)[:2]
+    scale = alpha / tilt
+    num, err = scale * values, scale * errors
+    total = num.sum()
+    probs = np.maximum(num / total, 0.0)
+    return probs, (err + probs * err.sum()) / total
+
+
+def _slice_half(fp, fq, fr):
+    """The three faces of one half, with pip offsets 0, 1, 2, convolved into
+    H[u, s] = sum_j w_p[u + j] w_r[j] w_q[s - 2 j] over u = j_p - j_r and
+    s = j_q + 2 j_r, as one matrix product; also H with face r weighted by j_r.
+
+    Each face is (first index, values). Returns (H, weighted H, first u, first s).
+    """
+    (lp, wp), (lq, wq), (lr, wr) = fp, fq, fr
+    k = wr.size
+    hankel = sliding_window_view(np.pad(wp, k - 1), k)      # [row, j] = wp[row + j - k + 1]
+    jr = lr + np.arange(k)
+    left = np.concatenate([hankel * wr, hankel * (wr * jr)])
+    cols = wq.size + 2 * (k - 1)
+    right = np.zeros((k, cols))
+    right.ravel()[np.add.outer(np.arange(k) * (cols + 2), np.arange(wq.size))] = wq
+    both = left @ right
+    rows = hankel.shape[0]
+    return both[:rows], both[rows:], lp - lr - k + 1, lq + 2 * lr
+
+
+def _slice_probs(a: Average, log_weight, grid: int) -> np.ndarray:
+    """The slice mean on the grid f = j/M with sum j = M and sum v j = a M.
+
+    Each face keeps j up to M times its largest value on the slice, with
+    weight 1/2 at j = 0 and j = M. Faces 1-3 and 4-6 are convolved into two
+    2-D arrays over (u, s) (see _slice_half); pairing them at the two
+    constraints gives the normalizer and, weighted by u and s, the means of
+    j_1 - j_3 and j_2 + 2 j_3; the constraints turn those into the means of
+    j_4 - j_6 and j_5 + 2 j_6. With the face-3 and face-6 weighted arrays
+    they give all six means.
+    """
+    av = a.value
+    faces = []
+    for v in FACE_VALUES:
+        top = 1 if v == av else (6 - av) / (6 - v) if v < av else (av - 1) / (v - 1)
+        j = np.arange(math.floor(top * grid) + 1)
+        logv = log_weight(v - 1, j / grid)
+        logv[0] += _LOG_HALF
+        if j[-1] == grid:
+            logv[-1] += _LOG_HALF
+        faces.append(_scaled(logv)[:2])
+    low, low_r, u_low, s_low = _slice_half(*faces[:3])
+    high, high_r, u_high, s_high = _slice_half(*faces[3:])
+
+    # faces 4-6 complete (u, s) of faces 1-3 at (4M - T - 4u - 3s, T - 3M + 3u + 2s),
+    # T = (a - 1) M: the sums of j and of (v - 1) j over the six faces are M and T
+    target = int((av - 1) * grid)
+    u = u_low + np.arange(low.shape[0])
+    s = s_low + np.arange(low.shape[1])
+    row = (4 * grid - target - u_high - 4 * u)[:, None] - 3 * s
+    col = (target - 3 * grid - s_high + 3 * u)[:, None] + 2 * s
+    held = (row >= 0) & (row < high.shape[0]) & (col >= 0) & (col < high.shape[1])
+    flat = row[held] * high.shape[1] + col[held]
+    pair, pair_r = np.zeros_like(low), np.zeros_like(low)
+    pair[held] = high.ravel()[flat]
+    pair_r[held] = high_r.ravel()[flat]
+
+    w = low * pair
+    total = w.sum()
+    j3 = (low_r * pair).sum() / total
+    j6 = (low * pair_r).sum() / total
+    u_mean, s_mean = w.sum(axis=1) @ u / total, w.sum(axis=0) @ s / total
+    u_high_mean = 4 * grid - target - 4 * u_mean - 3 * s_mean
+    s_high_mean = target - 3 * grid + 3 * u_mean + 2 * s_mean
+    return np.array([u_mean + j3, s_mean - 2 * j3, j3,
+                     u_high_mean + j6, s_high_mean - 2 * j6, j6]) / grid
+
+
+def _slice_lattice(a: Average, log_weight, width: float):
+    """Mean over the slice of prod_v exp(log_weight(v, f_v)) (v 0-based), and
+    its per-face error bound; `width` is the weights' narrowest feature in f."""
+    den = a.value.denominator
+    extent = float(min(a.value - 1, 6 - a.value)) / 5.0    # the slice's narrowest face range
+    grid = den * math.ceil(_MIN_SLICE_GRID / den)
+    while grid * min(width, extent) < 1.0:
+        grid *= 2
+    if 2 * grid > _MAX_SLICE_GRID:
+        raise ValueError(f"the slice at average {a} needs a lattice of {2 * grid} points "
+                         f"per face (a multiple of the average's denominator that resolves "
+                         f"the weights), more than {_MAX_SLICE_GRID}; for a large model "
+                         f"parameter ask for its limit (--param large --n-over-param large)")
+    # Where the error falls faster than M^-2 (weights that vanish at the faces)
+    # the extrapolation overshoots by up to |P(2M) - P(M)| / 3, so the bound
+    # counts that term twice: the correction itself, and P(2M)'s own error.
+    return _richardson(lambda m: _slice_probs(a, log_weight, m), grid,
+                       _SLICE_TOL, _MAX_SLICE_GRID, terms=2)
+
+
+def _slice_result(probs: np.ndarray, bound: np.ndarray) -> PosteriorResult:
+    return PosteriorResult.from_distribution(Distribution.from_weights(probs),
+                                             DETERMINISTIC_QUAD, error_bound=bound)
 
 
 def johnson_large_n(a: Average, concentration: float,
                     base: Optional[Distribution] = None,
                     budget: int = 1_000_000) -> PosteriorResult:
-    """Large-N Johnson posterior (old and new coincide): density prod f^(K m_l - 1)."""
+    """Large-N Johnson posterior (old and new coincide): the mean over the slice
+    of the Dirichlet(K m) density prod f^(K m_v - 1), m uniform without a base.
+
+    Computed by Fourier inversion (see _johnson_fourier), which sets its own
+    accuracy: `budget` is accepted and ignored. When a is a face value v and
+    the other faces' concentrations sum to at most 1, the slice density cannot
+    be integrated at the vertex e_v, and the posterior is that vertex.
+    """
     if not (concentration > 0 and math.isfinite(concentration)):
         raise ValueError("concentration must be a finite positive real")
-    expo = concentration * (np.asarray(base.probs) if base is not None
-                            else np.ones(N_FACES)) - 1.0
-
-    def log_density(pts):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = expo * np.log(pts)
-        terms[:, expo == 0.0] = 0.0      # f^0 = 1 even at f = 0
-        return terms.sum(axis=1)
-
-    return _large_n_mean(a, log_density, budget)
+    alpha = concentration * (np.asarray(base.probs) if base is not None
+                             else np.ones(N_FACES))
+    av = a.value
+    if av.denominator == 1:
+        face = av.numerator
+        rest = float(np.delete(alpha, face - 1).sum())
+        if face in (1, 6) or rest <= 1.0 + 1e-12:   # at most 1, up to rounding
+            return _vertex(face)
+    probs, bound = _johnson_fourier(float(av), alpha)
+    if bound.max() > _SLICE_TOL:
+        warnings.warn(f"Fourier inversion error bound {bound.max():.2e}", BudgetExhausted)
+    return _slice_result(probs, bound)
 
 
 def multiplicity_large_n(a: Average, scale: float,
                          base: Optional[Distribution] = None,
                          budget: int = 1_000_000) -> PosteriorResult:
-    """Large-N multiplicity posterior: density 1 / prod Gamma(L f_l + 1)."""
+    """Large-N multiplicity posterior: the mean over the slice of the density
+    prod m_v^(L f_v) / Gamma(L f_v + 1), m uniform without a base.
+
+    Computed on the slice lattice (see _slice_lattice), which sizes its own
+    grid: `budget` is accepted and ignored. Each face is tilted by
+    (L f*_v)^(L f_v), f* the distribution of least divergence from the base
+    at mean a, which centres it near f*_v; on the slice the tilts multiply to
+    a constant times the base factor. An L whose peaks the largest grid
+    cannot resolve raises ValueError.
+    """
     if not (scale >= 1 and math.isfinite(scale)):
         raise ValueError("multiplicity scale must be a finite real >= 1")
+    from scipy.special import gammaln
 
-    def log_density(pts):
-        return _multiplicity_log_density(pts, scale, base)
+    if a.value in (1, 6):
+        return _vertex(int(a.value))
+    target = np.asarray(min_kl(a, base or Distribution.uniform()).distribution.probs)
+    log_tilt = np.log(scale * target)
 
-    return _large_n_mean(a, log_density, budget)
+    def log_weight(v, p):
+        return scale * p * log_tilt[v] - gammaln(scale * p + 1.0)
+
+    # a face peaks (L f*)^(1/2) / L wide, or decays within 1 / L of f = 0
+    width = float(np.min(np.maximum(np.sqrt(scale * target), 1.0))) / scale
+    return _slice_result(*_slice_lattice(a, log_weight, width))

@@ -6,8 +6,8 @@ The regime (finite or large N), the model and its parameter decide the route:
   multiplicity lattice (symmetric model) or the multiplicity Monte Carlo
   (base-weighted model); a parameter marked large (math.inf) makes the model
   collapse to fair throwing at that N;
-- large N, finite parameter: the Johnson or multiplicity slice integral, old
-  and new throws alike;
+- large N, finite parameter: the Johnson slice mean by Fourier inversion or
+  the multiplicity slice mean on a lattice, old and new throws alike;
 - large N, fair model or parameter dominating N: the Shannon maximizer for an
   old throw, the uniform distribution for a new one;
 - large N dominating the parameter: the Burg maximizer (Johnson) or the
@@ -42,11 +42,10 @@ def posterior(query: Query, *, budget: Optional[int] = None,
               seed: int = DEFAULT_SEED) -> PosteriorResult:
     """The posterior of one face for an old or new throw.
 
-    `budget` bounds the Monte Carlo samples or quadrature evaluations of a
-    numeric route; None keeps that method's own default. `seed` selects the
-    Monte Carlo streams of the base-weighted finite-N multiplicity model.
-    Neither reaches the symmetric finite-N multiplicity lattice, which sizes
-    its grid from L and its own error target.
+    `budget` (None keeps the default) and `seed` set the Monte Carlo samples
+    and streams of the base-weighted finite-N multiplicity model, the only
+    Monte Carlo route. The lattices and the Fourier inversion size themselves
+    from the query and their own error targets.
     """
     model, a, throw = query.model, query.average, query.throw
     numeric = {} if budget is None else {"budget": budget}
@@ -73,7 +72,7 @@ def posterior(query: Query, *, budget: Optional[int] = None,
 
     if not math.isinf(param):
         large_n = johnson_large_n if johnson else multiplicity_large_n
-        return large_n(a, param, model.base, **numeric)
+        return large_n(a, param, model.base)
     ratio_large = query.regime.n_over_param_large
     if ratio_large is None:
         raise ValueError("with both N and the parameter large, say which "

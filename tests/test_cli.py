@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dicebayes
+from dicebayes import multiplicity_model
 from dicebayes.cli import main
 
 # the child interpreter imports the same dicebayes as this one
@@ -104,6 +105,16 @@ class TestEval:
         assert len(payload["error_bound"]) == 6 and max(payload["error_bound"]) <= 1e-5
         assert "stderr" not in payload
 
+    def test_large_n_johnson_below_unit_concentration(self, capsys):
+        # at a = 5 face 5 has probability K / (6K - 1): 25 % at K = 0.5
+        assert main(["eval", "--large-n", "--avg", "5", "--model", "johnson",
+                     "--param", "0.5", "--throw", "old"]) == 0
+        out = capsys.readouterr().out
+        assert "(3.6, 4.6, 6.3, 9.8, 25.0, 50.7) %" in out
+        assert "method: deterministic-quad" in out
+        line, = [l for l in out.splitlines() if l.startswith("error bound: (")]
+        assert line.endswith(") pp")
+
     def test_base_with_an_empty_face_is_usage_error(self):
         assert main(["eval", "--large-n", "--avg", "5", "--model", "johnson",
                      "--param", "5", "--m", "0,1,1,1,1,1", "--throw", "old"]) == 3
@@ -126,12 +137,15 @@ class TestReproduce:
         assert main(["reproduce", "--only", "n1-a6", "--diff"]) == 0
         assert "0 deviation(s)" in capsys.readouterr().out
 
-    def test_budget_stops_reported_on_stderr(self, capsys):
-        assert main(["reproduce", "--only", "large-a5", "--fast"]) == 0
+    def test_budget_stops_reported_on_stderr(self, capsys, monkeypatch):
+        # with the slice lattice capped at 120 points the L=1 and L=5 rows stop
+        # above their error target (the L=50 row meets it at 60 and 120)
+        monkeypatch.setattr(multiplicity_model, "_MAX_SLICE_GRID", 120)
+        assert main(["reproduce", "--only", "large-a5"]) == 0
         err = capsys.readouterr().err
-        line, = [l for l in err.splitlines() if "evaluation budget" in l]
+        line, = [l for l in err.splitlines() if "error target" in l]
         assert set(line.rpartition(": ")[2].split(", ")) == {
-            "large-a5 Johnson K=5", "large-a5 Johnson K=50"}
+            "large-a5 multiplicity L=1", "large-a5 multiplicity L=5"}
 
     def test_unknown_problem_is_usage_error(self):
         assert main(["reproduce", "--only", "n3-a9"]) == 3
@@ -154,6 +168,25 @@ class TestReproduce:
             assert row["method"] == "deterministic-quad" and "stderr" not in row
             assert len(row["error_bound"]) == 2
             assert max(max(bound) for bound in row["error_bound"]) <= 1e-5
+
+    def test_json_large_n_rows_carry_error_bounds(self, capsys):
+        assert main(["reproduce", "--only", "large-a5", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)[0]["rows"]
+        slices = [r for r in rows if r["model"] in ("johnson", "multiplicity")
+                  and not r["param"].startswith("large")]
+        assert len(slices) == 6
+        for row in slices:
+            assert row["method"] == "deterministic-quad"
+            assert len(row["error_bound"]) == 2 and len(row["error_bound"][0]) == 6
+            assert max(max(bound) for bound in row["error_bound"]) <= multiplicity_model._SLICE_TOL
+
+    def test_budget_and_seed_do_not_change_tables(self, capsys):
+        # no table cell uses Monte Carlo
+        args = ["reproduce", "--only", "n2-a5", "--only", "large-a5"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--budget", "1000", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_full_budget_tables_match_the_print(self, capsys):
         # every published cell at the full budget and the 0.3 pp tolerance

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from numpy.polynomial import polynomial
+from scipy.special import gammaln
 
 from dicebayes import (Average, BudgetExhausted, ContradictoryData,
                        DegenerateWeights, Distribution, Exact, FairThrow, Johnson,
@@ -20,9 +21,11 @@ from dicebayes import (Average, BudgetExhausted, ContradictoryData,
                        multiplicity_large_n, multiplicity_posterior, posterior)
 from dicebayes.cli import main
 from dicebayes.combinatorics import _constrained_counts
-from dicebayes.multiplicity_model import (_LATTICE_TOL, _ROW_BLOCK, _Lattice,
-                                          _finite_kernel, _lattice_probs)
+from dicebayes import multiplicity_model
+from dicebayes.multiplicity_model import (_LATTICE_TOL, _ROW_BLOCK, _SLICE_TOL, _Lattice,
+                                          _finite_kernel, _lattice_probs, _slice_lattice)
 from dicebayes.simplex_integration import make_rng, sample_simplex_uniform
+from oracle import bspline_slice_mean, slice_mean_mc
 
 A5 = Average(Fraction(5))
 A35 = Average(Fraction(7, 2))
@@ -221,11 +224,121 @@ class TestLargeN:
     def test_degenerate_average_returns_vertex(self):
         res = multiplicity_large_n(Average(Fraction(6)), 5.0)
         assert res.distribution == Distribution.vertex(6)
+        res = johnson_large_n(Average(Fraction(1)), 5.0)
+        assert res.distribution == Distribution.vertex(1)
+        assert res.method == "analytic-limit"
 
     def test_face_reversal_symmetry(self):
         fwd = multiplicity_large_n(A5, 5.0)
         rev = multiplicity_large_n(A5.reversed(), 5.0)
         assert max_dev(fwd.distribution, rev.distribution.reversed()) < 5e-4
+
+
+# (a, K) of the printed large-N Johnson cells, and one k/10 pair
+SLICE_CELLS = [(a, k) for a in ("5", "7/2") for k in (1, 5, 50)] + [
+    (a, k) for a in ("23/10", "47/10") for k in (1, 5)]
+
+
+class TestJohnsonSlice:
+    @pytest.mark.parametrize("a, k", SLICE_CELLS)
+    def test_matches_the_bspline_oracle(self, a, k):
+        res = johnson_large_n(Average.parse(a), float(k))
+        exact = bspline_slice_mean(Average.parse(a), (k,) * 6)
+        assert max_dev(res.distribution, [float(x) for x in exact]) <= 1e-10
+        assert res.method == "deterministic-quad"
+        assert max(res.error_bound) <= 1e-10
+
+    @pytest.mark.parametrize("face", [2, 3, 4, 5])
+    def test_face_value_identity(self, face):
+        # observed, not derived: at a = v the posterior of face v is
+        # alpha_v / (A - 1), also for K < 1 and with a base
+        rng = np.random.default_rng(face)
+        for base in (None, Distribution.from_weights(rng.uniform(0.2, 1.0, 6))):
+            m = np.ones(6) if base is None else np.asarray(base.probs)
+            for k in (0.3, 0.5, 1.0, 5.0, 50.0, 1e3, 1e6):
+                alpha = k * m
+                if alpha.sum() - alpha[face - 1] <= 1.0:
+                    continue
+                res = johnson_large_n(Average(Fraction(face)), k, base)
+                assert res.distribution[face - 1] == pytest.approx(
+                    alpha[face - 1] / (alpha.sum() - 1.0), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("k, base", [(0.2, None), (0.1, None),
+                                         (2.0, Distribution.from_weights((1, 1, 1, 1, 8, 1)))])
+    def test_non_integrable_vertex_is_the_limit(self, k, base):
+        # the other faces' concentrations sum to at most 1: the slice density
+        # cannot be integrated at e_5, and the posterior is that vertex
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = johnson_large_n(A5, k, base)
+        assert res.distribution == Distribution.vertex(5)
+        assert res.method == "analytic-limit"
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_slice_lattice_with_johnson_weights(self, k):
+        # the multiplicity engine fed f^(K-1) lies within its own bound of the oracle
+        for a in ("5", "7/2"):
+            def log_weight(v, p):
+                with np.errstate(divide="ignore"):
+                    return (k - 1) * np.log(p) if k > 1 else np.zeros_like(p)
+
+            probs, bound = _slice_lattice(Average.parse(a), log_weight, 1.0)
+            exact = np.array([float(x) for x in bspline_slice_mean(Average.parse(a), (k,) * 6)])
+            assert np.all(np.abs(probs - exact) <= bound)
+
+
+class TestMultiplicitySlice:
+    @pytest.mark.parametrize("a", ["5", "7/2"])
+    @pytest.mark.parametrize("scale", [1.0, 5.0, 50.0])
+    def test_matches_slice_monte_carlo(self, a, scale):
+        avg = Average.parse(a)
+        res = multiplicity_large_n(avg, scale)
+        assert res.method == "deterministic-quad" and max(res.error_bound) <= _SLICE_TOL
+        mc, stderr = slice_mean_mc(
+            avg, lambda pts: -gammaln(scale * pts + 1.0).sum(axis=1), 400_000, 5)
+        assert np.all(np.abs(np.asarray(res.distribution.probs) - mc) <= 4 * stderr)
+
+    @pytest.mark.parametrize("a, scale", [("5", 1.0), ("23/10", 5.0), ("59/10", 1.0),
+                                          ("7/2", 500.0)])
+    def test_error_bound_holds_against_a_finer_lattice(self, a, scale, monkeypatch):
+        avg = Average.parse(a)
+        res = multiplicity_large_n(avg, scale)
+        # the same slice refined to a ten times tighter target
+        monkeypatch.setattr(multiplicity_model, "_SLICE_TOL", max(res.error_bound) / 10)
+        monkeypatch.setattr(multiplicity_model, "_MAX_SLICE_GRID", 4096)
+        finer = multiplicity_large_n(avg, scale)
+        assert np.all(np.abs(np.asarray(res.distribution.probs)
+                             - np.asarray(finer.distribution.probs))
+                      <= np.asarray(res.error_bound))
+
+    def test_base_weighted(self):
+        # the uniform base is the symmetric model; another base agrees with
+        # slice Monte Carlo of the density prod m^(L f) / Gamma(L f + 1)
+        plain = multiplicity_large_n(A5, 5.0)
+        uniform = multiplicity_large_n(A5, 5.0, Distribution.uniform())
+        assert max_dev(plain.distribution, uniform.distribution) < 1e-12
+        base = Distribution.from_weights((1, 1, 1, 1, 1, 3))
+        res = multiplicity_large_n(A5, 5.0, base)
+        log_m = np.log(base.probs)
+        mc, stderr = slice_mean_mc(
+            A5, lambda pts: 5.0 * pts @ log_m - gammaln(5.0 * pts + 1.0).sum(axis=1),
+            400_000, 6)
+        assert np.all(np.abs(np.asarray(res.distribution.probs) - mc) <= 4 * stderr)
+
+    @pytest.mark.parametrize("scale", ["10000", "1000000"])
+    def test_large_scale_is_refused_at_once(self, scale, capsys):
+        start = time.perf_counter()
+        code = main(["eval", "--large-n", "--avg", "5", "--model", "multiplicity",
+                     "--param", scale, "--throw", "old", "--format", "json"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert "--param large --n-over-param large" in capsys.readouterr().err
+
+    def test_stop_at_the_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(multiplicity_model, "_MAX_SLICE_GRID", 120)
+        with pytest.warns(BudgetExhausted):
+            res = multiplicity_large_n(A5, 1.0)
+        assert max(res.error_bound) > _SLICE_TOL
 
 
 class TestAsymptoticDispatch:

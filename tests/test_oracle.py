@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dicebayes import Average, ContradictoryData, NEW, OLD
-from oracle import (brute_force_fair, brute_force_fair_literal,
-                              exact_johnson, sequence_census)
+from oracle import (brute_force_fair, brute_force_fair_literal, bspline_slice_mean,
+                    build_constraint_polytope, exact_johnson, sequence_census)
 
 
 class TestSequenceCensus:
@@ -59,3 +59,27 @@ class TestJohnsonOracle:
     def test_non_integer_concentration_rejected(self):
         with pytest.raises(ValueError):
             exact_johnson(2, Average(Fraction(5)), 1.5, OLD)
+
+
+class TestBsplineSliceMean:
+    @pytest.mark.parametrize("a", ["2", "7/2", "23/10", "5"])
+    def test_a_distribution_with_mean_a(self, a):
+        avg = Average.parse(a)
+        probs = bspline_slice_mean(avg, (1, 2, 3, 1, 2, 4))
+        assert sum(probs) == 1 and all(p > 0 for p in probs)
+        assert sum(v * p for v, p in enumerate(probs, 1)) == avg.value
+
+    def test_flat_slice_is_the_polytope_centroid(self):
+        # K = 1 makes the slice density constant: its mean is the volume-weighted
+        # mean of the triangulation's simplex centroids
+        avg = Average(Fraction(4))
+        poly = build_constraint_polytope(avg)
+        verts = poly.vertex_array()
+        centroid = sum(frac * verts[list(simplex)].mean(axis=0)
+                       for frac, simplex in zip(poly.relative_volumes, poly.simplices))
+        exact = bspline_slice_mean(avg, (1,) * 6)
+        assert max(abs(float(x) - c) for x, c in zip(exact, centroid)) < 1e-12
+
+    def test_non_integer_concentration_rejected(self):
+        with pytest.raises(ValueError):
+            bspline_slice_mean(Average(Fraction(5)), (1, 1, 1, 1, 1, 0.5))

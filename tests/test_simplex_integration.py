@@ -1,16 +1,17 @@
-"""Simplex/polytope sampling, quadrature, and ratio estimators."""
-import warnings
+"""Simplex and slice sampling, and the Monte Carlo ratio estimators.
+
+The slice sampler lives in tests/oracle.py, as the Monte Carlo cross-check of
+the large-N slice posteriors.
+"""
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dicebayes import (Average, BudgetExhausted, DegeneratePolytope,
-                       build_constraint_polytope, sample_polytope_uniform,
-                       sample_simplex_uniform)
+from dicebayes import Average, johnson_large_n, sample_simplex_uniform
 from dicebayes.simplex_integration import (_MCAccumulator, make_rng,
-                                           posterior_mean_polytope,
                                            posterior_mean_simplex)
+from oracle import build_constraint_polytope, sample_polytope_uniform, slice_mean_mc
 
 
 class TestSampling:
@@ -36,10 +37,9 @@ class TestSampling:
         np.testing.assert_allclose(values, 5.0, atol=1e-9)
 
     def test_degenerate_polytope(self):
-        for a, face in ((Fraction(1), 1), (Fraction(6), 6)):
-            with pytest.raises(DegeneratePolytope) as exc:
+        for a in (Fraction(1), Fraction(6)):
+            with pytest.raises(ValueError, match="single point"):
                 build_constraint_polytope(Average(a))
-            assert exc.value.vertex.probs[face - 1] == 1.0
 
     def test_mirror_polytopes_have_equal_volume(self):
         v2 = build_constraint_polytope(Average(Fraction(2))).total_volume
@@ -65,32 +65,16 @@ class TestIntegrators:
         assert np.all(np.abs(probs - expected) <= 4 * stderr)
         assert np.all(stderr < 0.01 * expected)
 
-    def test_deterministic_matches_dirichlet_normalizer(self):
-        probs, _, _ = posterior_mean_simplex(self.dirichlet, budget=200_000,
-                                             method="deterministic", atol=1e-2)
-        np.testing.assert_allclose(probs, self.B / self.B.sum(), rtol=1e-4)
-
     def test_polytope_constant_integrates_to_volume_fraction(self):
         # a constant weight gives each triangulation simplex its volume
-        # fraction, so the mean point is the volume-weighted mean of their centroids
+        # fraction, so the mean point is the volume-weighted mean of their
+        # centroids; the Johnson slice at K = 1 has that constant weight
         poly = build_constraint_polytope(Average(Fraction(4)))
         verts = poly.vertex_array()
         centroid = sum(frac * verts[list(simplex)].mean(axis=0)
                        for frac, simplex in zip(poly.relative_volumes, poly.simplices))
-        probs, _, _ = posterior_mean_polytope(poly, lambda pts: (np.zeros(len(pts)), pts),
-                                              budget=10_000, method="deterministic")
+        probs = johnson_large_n(Average(Fraction(4)), 1.0).distribution.probs
         np.testing.assert_allclose(probs, centroid, rtol=0, atol=1e-12)
-
-    def test_budget_exhausted_is_a_warning_with_result(self):
-        # a sharply peaked integrand cannot converge on a tiny budget
-        def fn(pts):
-            return -2000.0 * ((pts - 1 / 6.0) ** 2).sum(axis=1), pts
-
-        with pytest.warns(BudgetExhausted):
-            probs, err, est = posterior_mean_simplex(fn, budget=3_000, seed=0,
-                                                     method="deterministic",
-                                                     atol=1e-12)
-        assert np.all(np.isfinite(probs))
 
 
 class TestRatioEstimators:
@@ -126,17 +110,13 @@ class TestRatioEstimators:
         assert not np.array_equal(a, c)
 
     def test_mc_and_deterministic_agree(self):
-        poly = build_constraint_polytope(Average(Fraction(5)))
-
-        def fn(pts):
+        # the slice density prod f is the Johnson model at K = 2
+        def log_density(pts):
             with np.errstate(divide="ignore"):
-                return np.log(pts).sum(axis=1), pts
+                return np.log(pts).sum(axis=1)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BudgetExhausted)
-            mc, err, _ = posterior_mean_polytope(poly, fn, budget=1_000_000, seed=0)
-            det, _, _ = posterior_mean_polytope(poly, fn, budget=200_000,
-                                                method="deterministic", atol=1e-3)
+        mc, err = slice_mean_mc(Average(Fraction(5)), log_density, 1_000_000, 0)
+        det = johnson_large_n(Average(Fraction(5)), 2.0).distribution.probs
         assert np.all(np.abs(mc - det) <= np.maximum(4 * err, 5e-4))
 
     def test_stderr_shrinks_with_budget(self):
