@@ -7,16 +7,15 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import List, Optional, Sequence
 
-from .core import (Average, BudgetExhausted, ContradictoryData, DegenerateWeights,
-                   Distribution, Exact, FairThrow, Johnson, LargeN, Multiplicity, Query,
-                   PosteriorResult, NEW, OLD, shannon_entropy)
+from .core import (Average, BudgetExhausted, ContradictoryData, Distribution, Exact,
+                   FairThrow, Johnson, LargeN, Multiplicity, Query, PosteriorResult,
+                   NEW, OLD, shannon_entropy)
 from .maxent import maxent_burg, maxent_shannon, min_kl
 from .posterior import _limit, posterior
 from .reference import (ReferenceRow, ReferenceTable, UNIFORM_ANY_A,
@@ -26,8 +25,6 @@ EXIT_OK = 0
 EXIT_DIFF = 1
 EXIT_CONTRADICTORY = 2
 EXIT_USAGE = 3
-
-ENV_SEED = "DICEBAYES_SEED"
 
 # diff tolerances, percent points / nats
 TOL_CLOSED_PP = 0.05
@@ -47,8 +44,7 @@ KNOWN_DISCREPANCIES = {
 
 
 # Warnings that `reproduce` collects per table row and reports in one line each.
-_CELL_WARNINGS = {BudgetExhausted: "stopped short of their error target",
-                  DegenerateWeights: "have degenerate Monte Carlo weights"}
+_CELL_WARNINGS = {BudgetExhausted: "stopped short of their error target"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,8 +119,7 @@ def _eval_query(args) -> PosteriorResult:
         regime = LargeN(ratio)
     else:
         regime = Exact(args.n)
-    return posterior(Query(regime, a, args.throw, model),
-                     budget=args.budget or None, seed=args.seed)
+    return posterior(Query(regime, a, args.throw, model))
 
 
 class _UsageError(Exception):
@@ -137,8 +132,6 @@ def _result_payload(result: PosteriorResult) -> dict:
         "entropy": result.entropy_nats,
         "method": result.method,
     }
-    if result.mc_stderr is not None:
-        payload["stderr"] = list(result.mc_stderr)
     if result.error_bound is not None:
         payload["error_bound"] = list(result.error_bound)
     return payload
@@ -162,8 +155,6 @@ def _cmd_eval(args) -> int:
     else:
         print(_fmt_result(result))
         print(f"method: {result.method}")
-        if result.mc_stderr is not None:
-            print("stderr: (" + ", ".join(f"{100*s:.3f}" for s in result.mc_stderr) + ") pp")
         if result.error_bound is not None:
             print("error bound: (" + ", ".join(f"{100*e:.1e}" for e in result.error_bound)
                   + ") pp")
@@ -282,11 +273,10 @@ def _row_payload(row: ComputedRow) -> dict:
     methods = {c.result.method for c in (row.old, row.new) if c.result is not None}
     if methods:
         payload["method"] = sorted(methods)[0] if len(methods) == 1 else sorted(methods)
-    for key, attr in (("stderr", "mc_stderr"), ("error_bound", "error_bound")):
-        values = [getattr(c.result, attr) for c in (row.old, row.new)
-                  if c.result is not None and getattr(c.result, attr) is not None]
-        if values:
-            payload[key] = [list(v) for v in values]
+    bounds = [list(c.result.error_bound) for c in (row.old, row.new)
+              if c.result is not None and c.result.error_bound is not None]
+    if bounds:
+        payload["error_bound"] = bounds
     return payload
 
 
@@ -408,13 +398,9 @@ def _cmd_reproduce(args) -> int:
 
 # --- entry point ----------------------------------------------------------
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"seed of eval's Monte Carlo route (default: ${ENV_SEED} or 0)")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="sample budget of eval's Monte Carlo route")
+def _add_config(parser):
     parser.add_argument("--config", type=str, default=None,
-                        help="JSON file of flag defaults (flags override)")
+                        help="JSON object of flag defaults (flags override)")
 
 
 def build_parser() -> _Parser:
@@ -439,7 +425,7 @@ def build_parser() -> _Parser:
     ev.add_argument("--n-over-param", choices=["small", "large"], default=None,
                     help="with --large-n and --param large, which ratio dominates")
     ev.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    _add_common(ev)
+    _add_config(ev)
     ev.set_defaults(func=_cmd_eval)
 
     rp = sub.add_parser("reproduce", help="recompute the published tables")
@@ -450,22 +436,44 @@ def build_parser() -> _Parser:
                     help="compare against the embedded reference values")
     rp.add_argument("--fast", action="store_true",
                     help="compare numeric cells at 0.5 pp instead of 0.3 pp")
-    _add_common(rp)
+    _add_config(rp)
     rp.set_defaults(func=_cmd_reproduce)
     return parser
 
 
-def _apply_config(args, parser_defaults: dict):
+def _config_value(parser, action: argparse.Action, key: str, value):
+    """A config value, checked and converted by argparse as the flag's own
+    arguments are: true or false for a switch, a list for a repeatable flag,
+    else one JSON string or number."""
+    many = isinstance(action, argparse._AppendAction)
+    items = value if many and isinstance(value, list) else [value]
+    if action.nargs == 0 and type(value) is bool:
+        return value
+    if (action.nargs == 0 or many != isinstance(value, list)
+            or not all(type(v) in (str, int, float) for v in items)):
+        raise _UsageError(f"config key {key!r} has an invalid value {value!r}")
+    try:
+        items = [parser._get_values(action, [str(v)]) for v in items]
+    except argparse.ArgumentError as exc:
+        raise _UsageError(f"config key {key!r}: {exc}") from None
+    return items if many else items[0]
+
+
+def _apply_config(parser, args, actions: dict):
+    """Set each flag left at its default from the JSON object in --config."""
     if not args.config:
         return
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise _UsageError(f"config file {args.config} must hold a JSON object")
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise _UsageError(f"unknown config key {key!r}")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
+        value = _config_value(parser, action, key, value)
+        if getattr(args, action.dest) == action.default:
+            setattr(args, action.dest, value)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -474,17 +482,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    defaults = {a.dest: a.default for g in parser._subparsers._group_actions
-                for a in g.choices[args.command]._actions}
+    # the flags a config file may set: the command's own, bar --help and --config
+    actions = {a.dest: a for g in parser._subparsers._group_actions
+               for a in g.choices[args.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     try:
-        _apply_config(args, defaults)
-        if args.seed is None:
-            args.seed = int(os.environ.get(ENV_SEED, "0"))
+        _apply_config(parser, args, actions)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

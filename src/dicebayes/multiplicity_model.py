@@ -1,27 +1,30 @@
 """Multiplicity-model posteriors and the large-N slice posteriors.
 
 The finite-N multiplicity model has no closed form: posteriors are ratios of
-integrals over the whole simplex. With h_k(p) = p^k / Gamma(L p + 1), a sum
-over the count vectors nv of N throws with pip sum s = a*N,
+integrals over the whole simplex. With h_k(p) = m_v^(L p) p^k / Gamma(L p + 1)
+on face v (m the base, uniform by default), a sum over the count vectors nv
+of N throws with pip sum s = a*N,
 
     old throw:  P_i ~ sum_nv multinomial(nv) (N_i/N) I(nv)
     new throw:  P_i ~ sum_nv multinomial(nv) I(nv + e_i)
     I(k) = int_simplex prod_l h_{k_l}(p_l) dp
 
-The symmetric model is answered on a lattice (method="deterministic"): on
-the grid p = j/M, I(k) is entry M of the convolution of the six per-face
-sequences h_{k_l}(j/M), with weight 1/2 at j = 0 and j = M. I(k) depends
-only on the sorted counts, so it is computed once per count partition. Each
-face is tilted by exp(L psi(L/6 + 1) p), which centres it at p = 1/6 (the
-tilts multiply to a constant on the simplex), scaled by its maximum and
-trimmed to the entries whose exp does not underflow, so large L neither
-overflows nor costs more. The error falls as M^-2: the result is the
-Richardson extrapolation of M and 2M, their difference / 3 its error bound,
-and M doubles from a size set by L until that bound is within 1e-5.
+`posterior()` answers it on a lattice (method="deterministic"): on the grid
+p = j/M, I(k) is entry M of the convolution of the six per-face sequences
+h_{k_l}(j/M), with weight 1/2 at j = 0 and j = M. Without a base I(k)
+depends only on the sorted counts, so it is computed once per count
+partition; with one, once per count vector. Each face is tilted by
+exp(L psi(L/6 + 1) p), which centres it near p = m_v (the tilts multiply to
+a constant on the simplex), scaled by its maximum and trimmed to the entries
+whose exp does not underflow, so large L neither overflows nor costs more.
+The error falls as M^-2: the result is the Richardson extrapolation of M and
+2M, their difference / 3 its error bound, and M doubles from a size set by
+L / min m until that bound is within 1e-5.
 
-Monte Carlo (method="mc", the default of the model functions) samples the
-simplex uniformly and collapses the sum over frequency vectors with a
-generating-polynomial identity: with S(p, z) = sum_l p_l z^l,
+Monte Carlo (method="mc", the default of the model functions) is the
+reference the lattice is checked against. It samples the simplex uniformly
+and collapses the sum over frequency vectors with a generating-polynomial
+identity: with S(p, z) = sum_l p_l z^l,
 
     sum_nv multinomial(nv) prod_l p_l^{N_l}          = [z^s] S^N
     sum_nv multinomial(nv) (N_i/N) prod_l p_l^{N_l}  = p_i [z^s'] S^(N-1),  s' = s - i
@@ -33,8 +36,7 @@ left) that can still reach those six. It runs on row blocks of a few thousand
 points with faces on the leading axis, so its coefficient rows stay in cache.
 The per-point data depends only on (N, s), so it is cached and shared across
 L values and across old/new queries; the log-weights of the latest L are
-cached beside it, shared by the old and new throw. It also covers the
-base-weighted model, which has no permutation symmetry.
+cached beside it, shared by the old and new throw.
 
 In the large-N regime old and new throws have the same posterior: the mean
 over the slice sum_v v f_v = a of the simplex, weighted by the model's
@@ -176,7 +178,7 @@ def _multiplicity_log_density(points: np.ndarray, scale: float,
 
 # Richardson target of the lattice, absolute probability per face (0.001 pp).
 _LATTICE_TOL = 1e-5
-# Grid sizes: the first grid resolves the tilted per-face peak, (6L)^(-1/2)
+# Grid sizes: the first grid resolves the narrowest per-face peak, (L / m_v)^(-1/2)
 # wide, with at least 8 points; the doubling stops at _MAX_GRID.
 _MIN_GRID = 500
 _MAX_GRID = 2 ** 20
@@ -194,52 +196,65 @@ def _scaled(logv: np.ndarray):
 
 
 class _Lattice:
-    """Simplex integrals I(k) = int prod_v h_{k_v}(p_v) dp, h_k(p) = p^k / Gamma(L p + 1),
-    on the grid p = j/M, each up to one factor common to every k.
+    """Simplex integrals I(k) = int prod_v h_{k_v}(p_v) dp on the grid p = j/M,
+    h_k(p) = m_v^(L p) p^k / Gamma(L p + 1) on face v, each up to one factor
+    common to every k.
 
     I(k) is entry M of the convolution of the six per-face sequences
     h_{k_v}(j/M), j = 0..M, with weight 1/2 at j = 0 and j = M. Each face is
     tilted by exp(L psi(L/6 + 1) p), which moves the peak of 1/Gamma(L p + 1)
-    to p = 1/6; the six tilts multiply to a constant on the simplex. Every
-    sequence is kept as (first index, values scaled to a maximum of 1, log
-    scale); a face keeps the entries whose exp does not underflow. I(k) is
-    one dot product of the convolutions of its three largest and its three
-    smallest counts, which are built from cached prefixes.
+    to p = 1/6, and the base enters as (6 m_v)^(L p), which is 1 for the
+    uniform base; on the simplex both multiply to a constant. Every sequence
+    is kept as (first index, values scaled to a maximum of 1, log scale); a
+    face keeps the entries whose exp does not underflow. I(k) is one dot
+    product of the convolutions of faces 1-3 and faces 4-6, which are built
+    from cached prefixes. Without a base the faces are exchangeable: all six
+    share one sequence, and I(k) depends only on the sorted counts.
     """
 
-    def __init__(self, scale: float, grid: int):
+    def __init__(self, scale: float, grid: int, base: Optional[Distribution] = None):
         from scipy.special import digamma, gammaln
         self.grid = grid
+        self.symmetric = base is None
         p = np.arange(grid + 1) / grid
         with np.errstate(divide="ignore"):
             self._log_p = np.log(p)
-        self._log_h0 = scale * digamma(scale / 6 + 1) * p - gammaln(scale * p + 1)
-        self._log_h0[[0, grid]] += _LOG_HALF
+        log_h0 = scale * digamma(scale / 6 + 1) * p - gammaln(scale * p + 1)
+        log_h0[[0, grid]] += _LOG_HALF
+        # one row per distinct face sequence, and the row of each face
+        if self.symmetric:
+            self._log_h0, self._rows = log_h0[None, :], (0,) * N_FACES
+        else:
+            log_m = np.log(N_FACES * np.asarray(base.probs))
+            self._log_h0, self._rows = log_h0 + scale * np.outer(log_m, p), range(N_FACES)
         self._products: dict = {}
 
-    def _product(self, ks: tuple):
-        """The convolution of the faces with counts ks, entries past M dropped."""
-        if ks in self._products:
-            return self._products[ks]
-        if len(ks) == 1:
-            lo, vals, log_s = _scaled(self._log_h0 + ks[0] * self._log_p if ks[0]
-                                      else self._log_h0)
+    def _product(self, faces: tuple):
+        """The convolution of the (row, count) faces, entries past M dropped."""
+        if faces in self._products:
+            return self._products[faces]
+        if len(faces) == 1:
+            (row, k), = faces
+            log_h0 = self._log_h0[row]
+            lo, vals, log_s = _scaled(log_h0 + k * self._log_p if k else log_h0)
         else:
-            lo_a, a, log_a = self._product(ks[:-1])
-            lo_b, b, log_b = self._product(ks[-1:])
+            lo_a, a, log_a = self._product(faces[:-1])
+            lo_b, b, log_b = self._product(faces[-1:])
             lo, log_s = lo_a + lo_b, log_a + log_b
             # entries past M cannot reach entry M of the full convolution
             vals = np.convolve(a, b)[:max(self.grid - lo + 1, 0)] if a.size else a
             top = float(vals.max()) if vals.size else 0.0
             if top > 0.0:
                 vals, log_s = vals / top, log_s + math.log(top)
-        self._products[ks] = (lo, vals, log_s)
-        return self._products[ks]
+        self._products[faces] = (lo, vals, log_s)
+        return self._products[faces]
 
     def log_integral(self, key: tuple) -> float:
-        """ln I(key) for counts sorted in decreasing order."""
-        lo_a, a, log_a = self._product(key[:3])
-        lo_b, b, log_b = self._product(key[3:])
+        """ln I(key) for the counts of faces 1-6 (sorted in decreasing order
+        when the lattice is symmetric)."""
+        faces = tuple(zip(self._rows, key))
+        lo_a, a, log_a = self._product(faces[:3])
+        lo_b, b, log_b = self._product(faces[3:])
         # sum over j of a[j] b[M - j], on the indices both sequences hold
         j0 = max(lo_a, self.grid - lo_b - b.size + 1)
         j1 = min(lo_a + a.size, self.grid - lo_b + 1)
@@ -256,8 +271,10 @@ def _lattice_probs(counts: np.ndarray, n: int, throw: str, lattice: _Lattice) ->
     from scipy.special import gammaln
     log_mult = -gammaln(counts + 1.0).sum(axis=1)      # ln N! is common to all
     keys = counts if throw == OLD else counts[:, None, :] + np.eye(N_FACES, dtype=counts.dtype)
-    keys = -np.sort(-keys.reshape(-1, N_FACES), axis=1)
-    # one integer per sorted key, in base n + 2 since no count exceeds n + 1
+    keys = keys.reshape(-1, N_FACES)
+    if lattice.symmetric:
+        keys = -np.sort(-keys, axis=1)
+    # one integer per key, in base n + 2 since no count exceeds n + 1
     codes = keys @ (n + 2) ** np.arange(N_FACES, dtype=np.int64)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     log_i = np.array([lattice.log_integral(tuple(key)) for key in keys[first].tolist()])
@@ -289,19 +306,6 @@ def _richardson(probs_at, grid: int, tol: float, max_grid: int, terms: int = 1):
     return np.maximum(fine + (fine - coarse) / 3.0, 0.0), bound
 
 
-def _lattice_posterior(n: int, s: int, scale: float, throw: str):
-    """The lattice posterior and its per-face error bound, from a first grid
-    that resolves the tilted per-face peak."""
-    grid = max(_MIN_GRID, 1 << math.ceil(math.log2(8.0 * math.sqrt(6.0 * scale))))
-    if 2 * grid > _MAX_GRID:
-        raise ValueError(f"multiplicity scale {scale:g} needs a lattice finer than "
-                         f"{_MAX_GRID} points per face; ask for the parameter-large "
-                         f"limit instead (--param large)")
-    counts = _constrained_counts(n, s)
-    return _richardson(lambda m: _lattice_probs(counts, n, throw, _Lattice(scale, m)),
-                       grid, _LATTICE_TOL, _MAX_GRID)
-
-
 # Below this Kish effective sample size the Monte Carlo ratio and its stderr
 # rest on a handful of samples and are not reported as trustworthy.
 _MIN_ESS = 100
@@ -327,10 +331,18 @@ def _finite_posterior(n: int, a: Average, scale: float,
             Distribution.from_weights(probs), MONTE_CARLO, mc_stderr=stderr)
 
     if method == "deterministic":
-        if base is not None:
-            raise ValueError("the lattice covers the symmetric multiplicity model "
-                             "only; use method='mc' with a base distribution")
-        probs, bound = _lattice_posterior(n, s, scale, throw)
+        # the first grid resolves the narrowest per-face peak, (L / m_v)^(-1/2) wide
+        spread = N_FACES * scale if base is None else scale / min(base.probs)
+        grid = max(_MIN_GRID, 1 << math.ceil(math.log2(8.0 * math.sqrt(spread))))
+        if 2 * grid > _MAX_GRID:
+            with_base = "" if base is None else " with this base"
+            raise ValueError(f"multiplicity scale {scale:g}{with_base} needs a lattice finer "
+                             f"than {_MAX_GRID} points per face; ask for the parameter-large "
+                             f"limit instead (--param large)")
+        counts = _constrained_counts(n, s)
+        probs, bound = _richardson(
+            lambda m: _lattice_probs(counts, n, throw, _Lattice(scale, m, base)),
+            grid, _LATTICE_TOL, _MAX_GRID)
         return PosteriorResult.from_distribution(
             Distribution.from_weights(probs), DETERMINISTIC_QUAD, error_bound=bound)
 
@@ -356,7 +368,8 @@ def generalized_multiplicity_posterior(n: int, a: Average, scale: float,
                                        method: str = "mc") -> PosteriorResult:
     """Multiplicity model tilted toward a strictly positive base distribution.
 
-    Monte Carlo only: the lattice needs the symmetric model.
+    method="mc" samples `budget` points from the streams of `seed`;
+    method="deterministic" is the lattice, as for the symmetric model.
     """
     if any(p <= 0 for p in base):
         raise ValueError("base distribution must be strictly positive")
@@ -374,6 +387,9 @@ _SLICE_TOL = 5e-4
 # where the arrays reach tens of megabytes.
 _MIN_SLICE_GRID = 60
 _MAX_SLICE_GRID = 1024
+# Elements of the faces 1-3 array paired per block: the table grids pair in one
+# block, and a large grid's pairing arrays stay within a few megabytes each.
+_PAIR_BLOCK = 1 << 18
 
 
 def _vertex(face: int) -> PosteriorResult:
@@ -466,23 +482,32 @@ def _slice_probs(a: Average, log_weight, grid: int) -> np.ndarray:
     high, high_r, u_high, s_high = _slice_half(*faces[3:])
 
     # faces 4-6 complete (u, s) of faces 1-3 at (4M - T - 4u - 3s, T - 3M + 3u + 2s),
-    # T = (a - 1) M: the sums of j and of (v - 1) j over the six faces are M and T
+    # T = (a - 1) M: the sums of j and of (v - 1) j over the six faces are M and T;
+    # rows of faces 1-3 are paired in blocks, so the pairing arrays stay small
     target = int((av - 1) * grid)
     u = u_low + np.arange(low.shape[0])
     s = s_low + np.arange(low.shape[1])
-    row = (4 * grid - target - u_high - 4 * u)[:, None] - 3 * s
-    col = (target - 3 * grid - s_high + 3 * u)[:, None] + 2 * s
-    held = (row >= 0) & (row < high.shape[0]) & (col >= 0) & (col < high.shape[1])
-    flat = row[held] * high.shape[1] + col[held]
-    pair, pair_r = np.zeros_like(low), np.zeros_like(low)
-    pair[held] = high.ravel()[flat]
-    pair_r[held] = high_r.ravel()[flat]
+    total = j3 = j6 = u_sum = 0.0
+    s_sums = np.zeros(low.shape[1])
+    step = max(1, _PAIR_BLOCK // low.shape[1])
+    for r in range(0, low.shape[0], step):
+        lb, lb_r, ub = low[r:r + step], low_r[r:r + step], u[r:r + step]
+        row = (4 * grid - target - u_high - 4 * ub)[:, None] - 3 * s
+        col = (target - 3 * grid - s_high + 3 * ub)[:, None] + 2 * s
+        held = (row >= 0) & (row < high.shape[0]) & (col >= 0) & (col < high.shape[1])
+        flat = row[held] * high.shape[1] + col[held]
+        pair, pair_r = np.zeros_like(lb), np.zeros_like(lb)
+        pair[held] = high.ravel()[flat]
+        pair_r[held] = high_r.ravel()[flat]
+        w = lb * pair
+        total += w.sum()
+        j3 += (lb_r * pair).sum()
+        j6 += (lb * pair_r).sum()
+        u_sum += w.sum(axis=1) @ ub
+        s_sums += w.sum(axis=0)
 
-    w = low * pair
-    total = w.sum()
-    j3 = (low_r * pair).sum() / total
-    j6 = (low * pair_r).sum() / total
-    u_mean, s_mean = w.sum(axis=1) @ u / total, w.sum(axis=0) @ s / total
+    j3, j6 = j3 / total, j6 / total
+    u_mean, s_mean = u_sum / total, s_sums @ s / total
     u_high_mean = 4 * grid - target - 4 * u_mean - 3 * s_mean
     s_high_mean = target - 3 * grid + 3 * u_mean + 2 * s_mean
     return np.array([u_mean + j3, s_mean - 2 * j3, j3,

@@ -2,10 +2,9 @@
 
 The regime (finite or large N), the model and its parameter decide the route:
 
-- finite N: the closed forms (fair, Johnson, base-weighted Johnson), the
-  multiplicity lattice (symmetric model) or the multiplicity Monte Carlo
-  (base-weighted model); a parameter marked large (math.inf) makes the model
-  collapse to fair throwing at that N;
+- finite N: the closed forms (fair, Johnson, base-weighted Johnson) or the
+  multiplicity lattice (with or without a base); a parameter marked large
+  (math.inf) makes the model collapse to fair throwing at that N;
 - large N, finite parameter: the Johnson slice mean by Fourier inversion or
   the multiplicity slice mean on a lattice, old and new throws alike;
 - large N, fair model or parameter dominating N: the Shannon maximizer for an
@@ -17,7 +16,6 @@ The regime (finite or large N), the model and its parameter decide the route:
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .core import (Distribution, Exact, FairThrow, Johnson, PosteriorResult, Query,
                    ANALYTIC_LIMIT, NEW)
@@ -25,7 +23,6 @@ from .exact_models import fair_posterior, generalized_johnson_posterior, johnson
 from .maxent import maxent_burg, maxent_shannon, min_kl
 from .multiplicity_model import (generalized_multiplicity_posterior, johnson_large_n,
                                  multiplicity_large_n, multiplicity_posterior)
-from .simplex_integration import DEFAULT_SEED
 
 
 def _limit(dist: Distribution) -> PosteriorResult:
@@ -38,17 +35,14 @@ def _fair_limit(query: Query) -> PosteriorResult:
     return _limit(maxent_shannon(query.average).distribution)
 
 
-def posterior(query: Query, *, budget: Optional[int] = None,
-              seed: int = DEFAULT_SEED) -> PosteriorResult:
+def posterior(query: Query) -> PosteriorResult:
     """The posterior of one face for an old or new throw.
 
-    `budget` (None keeps the default) and `seed` set the Monte Carlo samples
-    and streams of the base-weighted finite-N multiplicity model, the only
-    Monte Carlo route. The lattices and the Fourier inversion size themselves
-    from the query and their own error targets.
+    No route samples: the lattices and the Fourier inversion size themselves
+    from the query and their own error targets, so the same query always
+    gives the same answer.
     """
     model, a, throw = query.model, query.average, query.throw
-    numeric = {} if budget is None else {"budget": budget}
     if isinstance(model, FairThrow):
         if isinstance(query.regime, Exact):
             return fair_posterior(query.regime.n, a, throw)
@@ -68,7 +62,7 @@ def posterior(query: Query, *, budget: Optional[int] = None,
         if model.base is None:
             return multiplicity_posterior(n, a, param, throw, method="deterministic")
         return generalized_multiplicity_posterior(n, a, param, model.base, throw,
-                                                  seed=seed, **numeric)
+                                                  method="deterministic")
 
     if not math.isinf(param):
         large_n = johnson_large_n if johnson else multiplicity_large_n

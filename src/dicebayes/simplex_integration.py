@@ -2,9 +2,9 @@
 
 Points are uniform with respect to the flat measure. Integrands are evaluated
 in log domain; -inf values contribute exactly zero weight. Every result is a
-weighted mean over the simplex, so overall measure scales cancel. The
-multiplicity model's finite-N kernel draws its points here; the large-N slice
-posteriors are computed deterministically in multiplicity_model.
+weighted mean over the simplex, so overall measure scales cancel. The Monte
+Carlo reference of the finite-N multiplicity model (method="mc") draws its
+points here; no route of `posterior()` samples.
 """
 from __future__ import annotations
 
@@ -78,29 +78,3 @@ class _MCAccumulator:
         r = self.s_xw / self.s_w
         var = np.maximum(self.s_x2w2 - 2.0 * r * self.s_xw2 + r * r * self.s_w2, 0.0)
         return r, np.sqrt(var) / self.s_w, self.s_w * self.s_w / self.s_w2
-
-
-def _mc_run(sampler, fn, budget: int, seed: int) -> _MCAccumulator:
-    acc = _MCAccumulator(N_FACES)
-    stream = 0
-    remaining = int(budget)
-    while remaining > 0:
-        nb = min(_MC_BATCH, remaining)
-        pts = sampler(make_rng(seed, stream), nb)
-        logw, x = fn(pts)
-        acc.add(np.asarray(logw, dtype=float), np.asarray(x, dtype=float))
-        remaining -= nb
-        stream += 1
-    return acc
-
-
-def posterior_mean_simplex(fn, budget: int = 2_000_000, seed: int = DEFAULT_SEED):
-    """Monte Carlo ratio estimator int x_i w / int w over the simplex.
-
-    `fn(points)` returns (log-weights (n,), per-face values (n, 6)); numerator
-    and denominator share the same sample points. Returns (probs (6,),
-    stderr (6,), evaluations).
-    """
-    acc = _mc_run(sample_simplex_uniform, fn, budget, seed)
-    r, se, _ = acc.ratio()
-    return r, se, acc.n

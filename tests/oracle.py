@@ -6,7 +6,8 @@ paths; the counting oracles return exact integers. Two independent
 fair-throw oracles are provided (a dynamic program over throws, and a literal
 loop over all 6^N sequences) to guard against a shared bug. For the large-N
 slices there is an exact B-spline oracle of the Johnson model and a Monte
-Carlo sampler of the triangulated slice for any density.
+Carlo sampler of the triangulated slice for any density; the Monte Carlo
+ratio estimator over the whole simplex is here too.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import numpy as np
 from dicebayes import (Average, ContradictoryData, FrequencyVector, NEW, OLD,
                        enumerate_constrained_frequencies)
 from dicebayes.core import N_FACES
-from dicebayes.simplex_integration import _mc_run
+from dicebayes.simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator,
+                                           make_rng, sample_simplex_uniform)
 
 _UNIFORM = (Fraction(1, 6),) * N_FACES
 
@@ -281,6 +283,34 @@ def sample_polytope_uniform(poly: ConstraintPolytope, rng: np.random.Generator,
     return np.einsum("nk,nkd->nd", bary, varr[simp])
 
 
+def _mc_run(sampler, fn, budget: int, seed: int) -> _MCAccumulator:
+    """Accumulate `fn(points)` = (log-weights, per-face values) over `budget`
+    points drawn by `sampler(rng, count)` from the streams of `seed`."""
+    acc = _MCAccumulator(N_FACES)
+    stream = 0
+    remaining = int(budget)
+    while remaining > 0:
+        nb = min(_MC_BATCH, remaining)
+        pts = sampler(make_rng(seed, stream), nb)
+        logw, x = fn(pts)
+        acc.add(np.asarray(logw, dtype=float), np.asarray(x, dtype=float))
+        remaining -= nb
+        stream += 1
+    return acc
+
+
+def posterior_mean_simplex(fn, budget: int = 2_000_000, seed: int = DEFAULT_SEED):
+    """Monte Carlo ratio estimator int x_i w / int w over the simplex.
+
+    `fn(points)` returns (log-weights (n,), per-face values (n, 6)); numerator
+    and denominator share the same sample points. Returns (probs (6,),
+    stderr (6,), evaluations).
+    """
+    acc = _mc_run(sample_simplex_uniform, fn, budget, seed)
+    r, se, _ = acc.ratio()
+    return r, se, acc.n
+
+
 def slice_mean_mc(a: Average, log_density, budget: int, seed: int):
     """Monte Carlo mean of f over the slice, weighted by exp(log_density(f)),
     from points uniform on the triangulated slice. Returns (probs, stderr)."""
@@ -289,3 +319,4 @@ def slice_mean_mc(a: Average, log_density, budget: int, seed: int):
                   lambda pts: (log_density(pts), pts), budget, seed)
     probs, stderr, _ = acc.ratio()
     return probs, stderr
+

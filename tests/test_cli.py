@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,14 @@ from dicebayes.cli import main
 SRC = str(Path(dicebayes.__file__).resolve().parents[1])
 
 
-def run_cli(*argv):
+def run_python(*args):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "dicebayes.cli", *argv],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*argv):
+    return run_python("-m", "dicebayes.cli", *argv)
 
 
 class TestEval:
@@ -119,6 +123,18 @@ class TestEval:
         assert main(["eval", "--large-n", "--avg", "5", "--model", "johnson",
                      "--param", "5", "--m", "0,1,1,1,1,1", "--throw", "old"]) == 3
 
+    def test_base_weighted_multiplicity_at_large_scale(self, capsys):
+        # L = 1e6 pins p to the base m = (1..6)/21: faces 4-6 get (24, 25, 24)/73
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval", "--n", "2", "--avg", "5", "--model", "multiplicity",
+                         "--param", "1000000", "--m", "1,2,3,4,5,6", "--throw", "old"]) == 0
+        out = capsys.readouterr().out
+        assert "(0.0, 0.0, 0.0, 32.9, 34.2, 32.9) %" in out
+        assert "method: deterministic-quad" in out
+        line, = [l for l in out.splitlines() if l.startswith("error bound: (")]
+        assert line.endswith(") pp")
+
     def test_console_entry_point(self):
         proc = run_cli("eval", "--n", "2", "--avg", "5", "--model", "fair",
                        "--throw", "old")
@@ -180,13 +196,12 @@ class TestReproduce:
             assert len(row["error_bound"]) == 2 and len(row["error_bound"][0]) == 6
             assert max(max(bound) for bound in row["error_bound"]) <= multiplicity_model._SLICE_TOL
 
-    def test_budget_and_seed_do_not_change_tables(self, capsys):
-        # no table cell uses Monte Carlo
-        args = ["reproduce", "--only", "n2-a5", "--only", "large-a5"]
-        assert main(args) == 0
-        plain = capsys.readouterr().out
-        assert main(args + ["--budget", "1000", "--seed", "7"]) == 0
-        assert capsys.readouterr().out == plain
+    @pytest.mark.parametrize("flag", ["--seed", "--budget"])
+    def test_seed_and_budget_are_usage_errors(self, flag):
+        # no route samples, so neither flag exists
+        assert main(["reproduce", "--only", "n1-a6", flag, "5"]) == 3
+        assert main(["eval", "--n", "2", "--avg", "5", "--model", "fair",
+                     "--throw", "old", flag, "5"]) == 3
 
     def test_full_budget_tables_match_the_print(self, capsys):
         # every published cell at the full budget and the 0.3 pp tolerance
@@ -194,8 +209,7 @@ class TestReproduce:
         assert "296 cells compared, 0 deviation(s)" in capsys.readouterr().out
 
     def test_csv_deterministic_across_runs(self):
-        args = ["reproduce", "--only", "n2-a6", "--format", "csv",
-                "--fast", "--seed", "5"]
+        args = ["reproduce", "--only", "n2-a6", "--format", "csv", "--fast"]
         one = run_cli(*args)
         two = run_cli(*args)
         assert one.returncode == two.returncode == 0
@@ -221,3 +235,39 @@ class TestReproduce:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"no-such-flag": 1}))
         assert main(["reproduce", "--config", str(config)]) == 3
+
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "must hold a JSON object"),
+        ({"format": "xml"}, "'format'"),           # not one of the flag's choices
+        ({"fast": "no"}, "'fast'"),                # a switch takes true or false
+        ({"only": "n1-a6"}, "'only'"),             # a repeatable flag takes a list
+        ({"seed": 5}, "unknown config key 'seed'"),
+        ({"budget": 1000}, "unknown config key 'budget'")])
+    def test_config_values_are_checked_like_flags(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["reproduce", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_config_values_are_converted_like_flags(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 2, "param": 1, "throw": "old"}))
+        assert main(["eval", "--n", "1", "--avg", "5", "--model", "johnson",
+                     "--config", str(path)]) == 0
+        # --n on the command line overrides the config's n = 2
+        assert "(0.0, 0.0, 0.0, 0.0, 100.0, 0.0)" in capsys.readouterr().out
+        path.write_text(json.dumps({"n": "two"}))
+        assert main(["eval", "--large-n", "--avg", "5", "--model", "fair", "--throw", "old",
+                     "--config", str(path)]) == 3
+        assert "'n'" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # scipy costs about 0.5 s of imports; the package loads it on first use
+        code = ("import sys, dicebayes, dicebayes.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,7 +1,7 @@
 """Simplex and slice sampling, and the Monte Carlo ratio estimators.
 
-The slice sampler lives in tests/oracle.py, as the Monte Carlo cross-check of
-the large-N slice posteriors.
+The slice sampler and the simplex ratio estimator live in tests/oracle.py, as
+Monte Carlo cross-checks of the deterministic posteriors.
 """
 from fractions import Fraction
 
@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from dicebayes import Average, johnson_large_n, sample_simplex_uniform
-from dicebayes.simplex_integration import (_MCAccumulator, make_rng,
-                                           posterior_mean_simplex)
-from oracle import build_constraint_polytope, sample_polytope_uniform, slice_mean_mc
+from dicebayes.simplex_integration import _MCAccumulator, make_rng
+from oracle import (build_constraint_polytope, posterior_mean_simplex,
+                    sample_polytope_uniform, slice_mean_mc)
 
 
 class TestSampling:
