@@ -14,10 +14,9 @@ imported inside the functions that use it, on their first call.
 """
 
 from .core import (Average, BudgetExhausted, ContradictoryData, DegenerateWeights,
-                   Distribution, Exact, FairThrow, FrequencyVector, Johnson, LargeN,
+                   Distribution, Exact, FairThrow, Johnson, LargeN,
                    Multiplicity, PosteriorResult, Query, NEG_INFINITY, POS_INFINITY,
                    NEW, OLD, burg_entropy, kl_divergence, shannon_entropy)
-from .combinatorics import ConstraintSet, enumerate_constrained_frequencies
 from .exact_models import fair_posterior, generalized_johnson_posterior, johnson_posterior
 from .maxent import MaxentSolution, maxent_burg, maxent_shannon, min_kl
 from .simplex_integration import sample_simplex_uniform

@@ -459,10 +459,15 @@ def _config_value(parser, action: argparse.Action, key: str, value):
     return items if many else items[0]
 
 
-def _apply_config(parser, args, actions: dict):
-    """Set each flag left at its default from the JSON object in --config."""
+def _apply_config(parser, args, actions: dict, argv):
+    """Set each flag that argv does not give from the JSON object in --config.
+    argv is parsed again with the flags' defaults suppressed, so a flag given
+    at its default value, or a given --only, keeps its command-line value."""
     if not args.config:
         return
+    for action in actions.values():
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     with open(args.config) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -472,7 +477,7 @@ def _apply_config(parser, args, actions: dict):
         if action is None:
             raise _UsageError(f"unknown config key {key!r}")
         value = _config_value(parser, action, key, value)
-        if getattr(args, action.dest) == action.default:
+        if action.dest not in given:
             setattr(args, action.dest, value)
 
 
@@ -487,7 +492,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                for a in g.choices[args.command]._actions
                if a.option_strings and a.dest not in ("help", "config")}
     try:
-        _apply_config(parser, args, actions)
+        _apply_config(parser, args, actions, argv)
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

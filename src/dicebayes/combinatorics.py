@@ -1,34 +1,17 @@
-"""Exact enumeration of average-constrained frequency vectors."""
+"""The count vectors of N throws with an observed average.
+
+`_pip_total` turns the average into the pip sum, or refuses it as
+contradictory; `_constrained_counts` lists the count vectors with that total
+and pip sum, one row each, for the finite-N multiplicity lattice. The closed
+forms sum over the same vectors without listing them (see exact_models).
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Average, ContradictoryData, FrequencyVector, FACE_VALUES, N_FACES
-
-
-@dataclass(frozen=True, eq=False)
-class ConstraintSet:
-    """All frequency vectors with the given total whose pip sum equals target_sum.
-
-    `counts` holds them as a (members, 6) int64 array, one row per vector in
-    lexicographic order; iterating yields FrequencyVectors.
-    """
-
-    n: int
-    target_sum: int
-    counts: np.ndarray
-
-    def __len__(self) -> int:
-        return self.counts.shape[0]
-
-    def __iter__(self):
-        return (FrequencyVector(tuple(row)) for row in self.counts.tolist())
-
-    def is_empty(self) -> bool:
-        return len(self) == 0
+from .core import Average, ContradictoryData, FACE_VALUES
 
 
 def _pip_total(n: int, a: Average) -> int:
@@ -69,16 +52,3 @@ def _constrained_counts(n: int, s: int) -> np.ndarray:
         s_rest = s_rest[parent] - v * c
     cols.append(n_rest)
     return np.stack(cols, axis=1)
-
-
-def enumerate_constrained_frequencies(n: int, a: Average) -> ConstraintSet:
-    """Frequency vectors of n throws with average a, in lexicographic count order.
-
-    Returns an empty set (target_sum -1) when a*n is not an integer; callers
-    decide whether empty means contradictory data.
-    """
-    try:
-        s = _pip_total(n, a)
-    except ContradictoryData:
-        return ConstraintSet(n, -1, np.zeros((0, N_FACES), dtype=np.int64))
-    return ConstraintSet(n, s, _constrained_counts(n, s))

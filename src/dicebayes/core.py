@@ -62,8 +62,8 @@ class Distribution:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) != N_FACES:
             raise ValueError("a distribution needs exactly 6 probabilities")
-        if any(p < 0.0 for p in probs):
-            raise ValueError(f"negative probability in {probs}")
+        if not all(p >= 0.0 for p in probs):       # false for nan, unlike p < 0.0
+            raise ValueError(f"negative or nan probability in {probs}")
         if abs(sum(probs) - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")
         object.__setattr__(self, "probs", probs)
@@ -100,37 +100,6 @@ class Distribution:
 
     def __getitem__(self, i):
         return self.probs[i]
-
-
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Occupation counts of the six faces over N throws."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != N_FACES:
-            raise ValueError("need exactly 6 counts")
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in {counts}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def pip_sum(self) -> int:
-        return sum(v * c for v, c in zip(FACE_VALUES, self.counts))
-
-    def reversed(self) -> "FrequencyVector":
-        return FrequencyVector(self.counts[::-1])
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __getitem__(self, i):
-        return self.counts[i]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,11 @@
-"""Closed-form posteriors for the fair-throw and (generalized) Johnson models."""
+"""Closed-form posteriors for the fair-throw and (generalized) Johnson models.
+
+Both are means over the count vectors c of N throws with pip sum s, weighted
+by prod_v 1/c_v! (fair) or prod_v (alpha_v)_c / c_v! (Johnson, pseudo-counts
+alpha). On the constraints sum c = N and sum (v - 1) c = s - N, the pairing of
+the large-N slice lattice, without end weights, gives E[c] without listing the
+vectors. The old throw is E[c] / N, the Johnson new throw (E[c] + alpha) / (N + sum alpha).
+"""
 from __future__ import annotations
 
 import math
@@ -6,38 +13,86 @@ import math
 import numpy as np
 
 from .core import Average, Distribution, PosteriorResult, CLOSED_FORM, OLD, NEW, N_FACES
-from .combinatorics import _pip_total, enumerate_constrained_frequencies
+from .combinatorics import _pip_total
+from .maxent import maxent_shannon
+from .multiplicity_model import _MAX_SLICE_GRID, _check_concentration, _pair_means, _scaled
+
+# Faces scaled to their own maxima may underflow on the constraints once their log
+# weights span this many nats in all; they are then tilted to the saddle point first.
+_TILT_NATS = 600.0
+_OFFSETS = np.arange(N_FACES)      # v - 1, the pip offset of face v
 
 
-def _weighted_posterior(log_weights: np.ndarray, per_member_probs: np.ndarray) -> Distribution:
-    """Normalized weighted mean of per-member 6-vectors, combined in log domain."""
-    w = np.exp(log_weights - log_weights.max())
-    return Distribution.from_weights(w @ per_member_probs / w.sum())
-
-
-def _members(n: int, a: Average) -> np.ndarray:
-    """(members, 6) counts of the frequency vectors realizing average a."""
-    _pip_total(n, a)
-    return enumerate_constrained_frequencies(n, a).counts
+def _closed_form(n: int, a: Average, table: np.ndarray, saddle, throw: str,
+                 pseudo=0.0) -> PosteriorResult:
+    """The old throw E[c] / n, or the new throw (E[c] + pseudo) / (n + sum pseudo),
+    over the count vectors c of n throws averaging a, each weighted by
+    prod_v exp(table[c_v, v]). Where the weights span more than _TILT_NATS,
+    face v is first multiplied by z_v^c, ln z_v = saddle(s)[v - 1] = t0 + t1 (v - 1):
+    every vector on the constraints gains exp(t0 N + t1 (s - N)), so no mean
+    moves, and each face then peaks near its share of the constraints."""
+    s = _pip_total(n, a)
+    # the feasible counts: the other faces hold the rest at 1 to 6 pips each
+    hi = [n if v * n == s else (6 * n - s) // (6 - v) if v * n < s else (s - n) // (v - 1)
+          for v in range(1, N_FACES + 1)]
+    lo = [max(0, 2 * n - s), 0, 0, 0, 0, max(0, s - 5 * n)]
+    cols = [table[lo[v]:hi[v] + 1, v] for v in range(N_FACES)]
+    # the weights are monotone in c, so a face spans the gap between its ends
+    if sum(abs(col[-1] - col[0]) for col in cols) > _TILT_NATS:
+        x = saddle(s)
+        cols = [col + x[v] * np.arange(lo[v], hi[v] + 1) for v, col in enumerate(cols)]
+    faces = [(lo[v] + first, vals) for v, (first, vals, _) in enumerate(map(_scaled, cols))]
+    if max(vals.size for _, vals in faces) > _MAX_SLICE_GRID + 1:
+        raise ValueError(f"{n} throws averaging {a} leave a face more than {_MAX_SLICE_GRID + 1} "
+                         f"counts to sum over; ask for the many-throw limit (--large-n)")
+    means = np.maximum(_pair_means(faces, n, s - n), 0.0)
+    means[np.asarray(hi) == 0] = 0.0
+    probs = means / n if throw == OLD else (means + pseudo) / (n + np.sum(pseudo))
+    return PosteriorResult.from_distribution(Distribution.from_weights(probs), CLOSED_FORM)
 
 
 def fair_posterior(n: int, a: Average, throw: str) -> PosteriorResult:
-    """Fair-throw model: multiplicity-weighted mean for old throws, uniform for new."""
+    """Fair-throw model: the mean of c / N under the weights 1/c! for old
+    throws, uniform for new."""
     if throw == NEW:
         _pip_total(n, a)    # contradictory data has no new throw either
         return PosteriorResult.from_distribution(Distribution.uniform(), CLOSED_FORM)
     from scipy.special import gammaln      # scipy loads on first use; see __init__
 
-    counts = _members(n, a)
-    # ln N! is common to every member and cancels in the normalization;
-    # ln c! is tabulated over c = 0..n and gathered per member and face
-    lw = -gammaln(np.arange(n + 1) + 1.0)[counts].sum(axis=1)
-    return PosteriorResult.from_distribution(_weighted_posterior(lw, counts / n), CLOSED_FORM)
+    def saddle(s):
+        # Poisson faces z^c / c! peak at z = N f, f_v ~ exp(lam v) the Shannon maximizer
+        lam = maxent_shannon(a).lam
+        return math.log(n) - np.logaddexp.reduce(lam * _OFFSETS) + lam * _OFFSETS
+
+    table = np.repeat(-gammaln(np.arange(n + 1) + 1.0)[:, None], N_FACES, axis=1)
+    return _closed_form(n, a, table, saddle, OLD)
 
 
-def _johnson_result(counts: np.ndarray, n: int, pseudo, throw: str) -> PosteriorResult:
+def _johnson_saddle(n: int, s: int, alpha: np.ndarray) -> np.ndarray:
+    """ln z_v = t0 + t1 (v - 1) at which the negative binomial faces
+    (alpha_v)_c z^c / c!, of mean alpha_v / (1/z_v - 1), hold n counts and
+    s - n pip offsets in all (n < s < 6n): t0 given t1, then t1."""
+    from scipy.optimize import brentq
+
+    def t0_at(t1):
+        # all faces together hold under n at the lower end, the top face alone 2n at the upper
+        top, a_top = (5.0 * t1, alpha[-1]) if t1 > 0 else (0.0, alpha[0])
+        return brentq(lambda t0: alpha @ (1.0 / np.expm1(-t0 - t1 * _OFFSETS)) - n,
+                      math.log(n / (2.0 * alpha.sum() + n)) - top,
+                      math.log(2.0 * n / (a_top + 2.0 * n)) - top, xtol=1e-9)
+
+    def offset(t1):
+        return (alpha * _OFFSETS) @ (1.0 / np.expm1(-t0_at(t1) - t1 * _OFFSETS)) - (s - n)
+
+    # at |t1| = b all faces but the extreme one hold under one pip offset
+    b = math.log1p(6.0 * alpha.sum()) + 2.0
+    t1 = brentq(offset, -b, b, xtol=1e-9)
+    return t0_at(t1) + t1 * _OFFSETS
+
+
+def _johnson_result(n: int, a: Average, pseudo, throw: str) -> PosteriorResult:
     """Common path: per-face pseudo-counts `pseudo` (length 6), weights
-    prod Gamma(N_l + pseudo_l) / N_l!.
+    prod Gamma(c_v + pseudo_v) / c_v!.
 
     The table holds ln[(pseudo)_c / c!] for c = 0..n, the weight up to the
     constant factor Gamma(pseudo), as a running sum of ln(pseudo + j) - ln(j + 1)
@@ -46,25 +101,15 @@ def _johnson_result(counts: np.ndarray, n: int, pseudo, throw: str) -> Posterior
     """
     pseudo = np.asarray(pseudo, dtype=float)
     j = np.arange(n)[:, None]
-    steps = np.log(pseudo + j) - np.log1p(j)
-    table = np.concatenate([np.zeros((1, N_FACES)), np.cumsum(steps, axis=0)])  # (n+1, 6)
-    lw = table[counts, np.arange(N_FACES)].sum(axis=1)
-    if throw == OLD:
-        probs = counts / n
-    else:
-        probs = (counts + pseudo) / (n + pseudo.sum())
-    return PosteriorResult.from_distribution(_weighted_posterior(lw, probs), CLOSED_FORM)
-
-
-def _check_concentration(concentration: float):
-    if not (concentration > 0 and math.isfinite(concentration)):
-        raise ValueError("concentration must be a finite positive real")
+    table = np.concatenate([np.zeros((1, N_FACES)),
+                            np.cumsum(np.log(pseudo + j) - np.log1p(j), axis=0)])
+    return _closed_form(n, a, table, lambda s: _johnson_saddle(n, s, pseudo), throw, pseudo)
 
 
 def johnson_posterior(n: int, a: Average, concentration: float, throw: str) -> PosteriorResult:
     """Symmetric Johnson (Dirichlet) model, pseudo-count `concentration` per face."""
     _check_concentration(concentration)
-    return _johnson_result(_members(n, a), n, (concentration,) * N_FACES, throw)
+    return _johnson_result(n, a, (concentration,) * N_FACES, throw)
 
 
 def generalized_johnson_posterior(n: int, a: Average, concentration: float,
@@ -81,4 +126,4 @@ def generalized_johnson_posterior(n: int, a: Average, concentration: float,
             raise ValueError("with no data there is no old throw to ask about")
         return PosteriorResult.from_distribution(base, CLOSED_FORM)
     pseudo = tuple(concentration * p for p in base)
-    return _johnson_result(_members(n, a), n, pseudo, throw)
+    return _johnson_result(n, a, pseudo, throw)

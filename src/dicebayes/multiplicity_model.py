@@ -51,7 +51,7 @@ import warnings
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (Average, BudgetExhausted, DegenerateWeights, Distribution,
                    PosteriorResult, ANALYTIC_LIMIT, DETERMINISTIC_QUAD, FACE_VALUES,
@@ -446,7 +446,8 @@ def _slice_half(fp, fq, fr):
     """
     (lp, wp), (lq, wq), (lr, wr) = fp, fq, fr
     k = wr.size
-    hankel = sliding_window_view(np.pad(wp, k - 1), k)      # [row, j] = wp[row + j - k + 1]
+    padded = np.concatenate([np.zeros(k - 1), wp, np.zeros(k - 1)])
+    hankel = as_strided(padded, (wp.size + k - 1, k), padded.strides * 2)  # wp[row + j - k + 1]
     jr = lr + np.arange(k)
     left = np.concatenate([hankel * wr, hankel * (wr * jr)])
     cols = wq.size + 2 * (k - 1)
@@ -457,34 +458,21 @@ def _slice_half(fp, fq, fr):
     return both[:rows], both[rows:], lp - lr - k + 1, lq + 2 * lr
 
 
-def _slice_probs(a: Average, log_weight, grid: int) -> np.ndarray:
-    """The slice mean on the grid f = j/M with sum j = M and sum v j = a M.
-
-    Each face keeps j up to M times its largest value on the slice, with
-    weight 1/2 at j = 0 and j = M. Faces 1-3 and 4-6 are convolved into two
-    2-D arrays over (u, s) (see _slice_half); pairing them at the two
-    constraints gives the normalizer and, weighted by u and s, the means of
-    j_1 - j_3 and j_2 + 2 j_3; the constraints turn those into the means of
-    j_4 - j_6 and j_5 + 2 j_6. With the face-3 and face-6 weighted arrays
-    they give all six means.
+def _pair_means(faces, grid: int, target: int) -> np.ndarray:
+    """The mean of each face's index j over the index vectors with sum j = grid
+    and sum (v - 1) j = target, weighted by the product of the six faces'
+    (first index, values). Faces 1-3 and 4-6 are convolved into two 2-D arrays
+    over (u, s) (see _slice_half); pairing them at the two constraints gives
+    the normalizer and, weighted by u and s, the means of j_1 - j_3 and
+    j_2 + 2 j_3; the constraints turn those into the means of j_4 - j_6 and
+    j_5 + 2 j_6. With the face-3 and face-6 weighted arrays they give all six.
     """
-    av = a.value
-    faces = []
-    for v in FACE_VALUES:
-        top = 1 if v == av else (6 - av) / (6 - v) if v < av else (av - 1) / (v - 1)
-        j = np.arange(math.floor(top * grid) + 1)
-        logv = log_weight(v - 1, j / grid)
-        logv[0] += _LOG_HALF
-        if j[-1] == grid:
-            logv[-1] += _LOG_HALF
-        faces.append(_scaled(logv)[:2])
     low, low_r, u_low, s_low = _slice_half(*faces[:3])
     high, high_r, u_high, s_high = _slice_half(*faces[3:])
 
     # faces 4-6 complete (u, s) of faces 1-3 at (4M - T - 4u - 3s, T - 3M + 3u + 2s),
-    # T = (a - 1) M: the sums of j and of (v - 1) j over the six faces are M and T;
+    # M = grid and T = target: the sums of j and of (v - 1) j over the six faces;
     # rows of faces 1-3 are paired in blocks, so the pairing arrays stay small
-    target = int((av - 1) * grid)
     u = u_low + np.arange(low.shape[0])
     s = s_low + np.arange(low.shape[1])
     total = j3 = j6 = u_sum = 0.0
@@ -511,7 +499,26 @@ def _slice_probs(a: Average, log_weight, grid: int) -> np.ndarray:
     u_high_mean = 4 * grid - target - 4 * u_mean - 3 * s_mean
     s_high_mean = target - 3 * grid + 3 * u_mean + 2 * s_mean
     return np.array([u_mean + j3, s_mean - 2 * j3, j3,
-                     u_high_mean + j6, s_high_mean - 2 * j6, j6]) / grid
+                     u_high_mean + j6, s_high_mean - 2 * j6, j6])
+
+
+def _slice_probs(a: Average, log_weight, grid: int) -> np.ndarray:
+    """The slice mean on the grid f = j/M with sum j = M and sum v j = a M.
+
+    Each face keeps j up to M times its largest value on the slice, with
+    weight 1/2 at j = 0 and j = M, and _pair_means sums over the slice.
+    """
+    av = a.value
+    faces = []
+    for v in FACE_VALUES:
+        top = 1 if v == av else (6 - av) / (6 - v) if v < av else (av - 1) / (v - 1)
+        j = np.arange(math.floor(top * grid) + 1)
+        logv = log_weight(v - 1, j / grid)
+        logv[0] += _LOG_HALF
+        if j[-1] == grid:
+            logv[-1] += _LOG_HALF
+        faces.append(_scaled(logv)[:2])
+    return _pair_means(faces, grid, int((av - 1) * grid)) / grid
 
 
 def _slice_lattice(a: Average, log_weight, width: float):
@@ -539,6 +546,11 @@ def _slice_result(probs: np.ndarray, bound: np.ndarray) -> PosteriorResult:
                                              DETERMINISTIC_QUAD, error_bound=bound)
 
 
+def _check_concentration(concentration: float):
+    if not (concentration > 0 and math.isfinite(concentration)):
+        raise ValueError("concentration must be a finite positive real")
+
+
 def johnson_large_n(a: Average, concentration: float,
                     base: Optional[Distribution] = None,
                     budget: int = 1_000_000) -> PosteriorResult:
@@ -550,8 +562,7 @@ def johnson_large_n(a: Average, concentration: float,
     the other faces' concentrations sum to at most 1, the slice density cannot
     be integrated at the vertex e_v, and the posterior is that vertex.
     """
-    if not (concentration > 0 and math.isfinite(concentration)):
-        raise ValueError("concentration must be a finite positive real")
+    _check_concentration(concentration)
     alpha = concentration * (np.asarray(base.probs) if base is not None
                              else np.ones(N_FACES))
     av = a.value

@@ -63,12 +63,12 @@ class _MCAccumulator:
             self.shift = m
         w = np.zeros_like(logw)
         w[finite] = np.exp(logw[finite] - self.shift)
+        w2 = w * w
         self.s_w += float(w.sum())
-        self.s_w2 += float((w * w).sum())
-        xw = x * w[:, None]
-        self.s_xw += xw.sum(axis=0)
-        self.s_xw2 += (xw * w[:, None]).sum(axis=0)
-        self.s_x2w2 += (xw * xw).sum(axis=0)
+        self.s_w2 += float(w2.sum())
+        self.s_xw += w @ x
+        self.s_xw2 += w2 @ x
+        self.s_x2w2 += w2 @ (x * x)
 
     def ratio(self) -> Tuple[np.ndarray, np.ndarray, float]:
         """Ratio estimate, its delta-method stderr and the Kish effective

@@ -2,9 +2,10 @@
 
 The posterior oracles return tuples of `fractions.Fraction` so that no
 floating point enters until the final comparison against the production code
-paths; the counting oracles return exact integers. Two independent
-fair-throw oracles are provided (a dynamic program over throws, and a literal
-loop over all 6^N sequences) to guard against a shared bug. For the large-N
+paths; the counting oracles return exact integers. The frequency vectors are
+listed here too, with a floating-point posterior taken over them. Two
+independent fair-throw oracles are provided (a dynamic program over throws,
+and a literal loop over all 6^N sequences) to guard against a shared bug. For the large-N
 slices there is an exact B-spline oracle of the Johnson model and a Monte
 Carlo sampler of the triangulated slice for any density; the Monte Carlo
 ratio estimator over the whole simplex is here too.
@@ -19,9 +20,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from dicebayes import (Average, ContradictoryData, FrequencyVector, NEW, OLD,
-                       enumerate_constrained_frequencies)
-from dicebayes.core import N_FACES
+from dicebayes import Average, ContradictoryData, NEW, OLD
+from dicebayes.combinatorics import _constrained_counts
+from dicebayes.core import FACE_VALUES, N_FACES
 from dicebayes.simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator,
                                            make_rng, sample_simplex_uniform)
 
@@ -69,6 +70,73 @@ def _target_sum(n: int, a: Average) -> int:
     if s.denominator != 1:
         raise ContradictoryData(f"average {a} is unreachable in {n} throws")
     return s.numerator
+
+
+@dataclass(frozen=True)
+class FrequencyVector:
+    """Occupation counts of the six faces over N throws."""
+
+    counts: tuple
+
+    def __post_init__(self):
+        counts = tuple(int(c) for c in self.counts)
+        if len(counts) != N_FACES:
+            raise ValueError("need exactly 6 counts")
+        if any(c < 0 for c in counts):
+            raise ValueError(f"negative count in {counts}")
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+    def pip_sum(self) -> int:
+        return sum(v * c for v, c in zip(FACE_VALUES, self.counts))
+
+    def reversed(self) -> "FrequencyVector":
+        return FrequencyVector(self.counts[::-1])
+
+    def __iter__(self):
+        return iter(self.counts)
+
+    def __getitem__(self, i):
+        return self.counts[i]
+
+
+@dataclass(frozen=True, eq=False)
+class ConstraintSet:
+    """All frequency vectors with the given total whose pip sum equals target_sum.
+
+    `counts` holds them as a (members, 6) int64 array, one row per vector in
+    lexicographic order; iterating yields FrequencyVectors.
+    """
+
+    n: int
+    target_sum: int
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __iter__(self):
+        return (FrequencyVector(tuple(row)) for row in self.counts.tolist())
+
+    def is_empty(self) -> bool:
+        return len(self) == 0
+
+
+def enumerate_constrained_frequencies(n: int, a: Average) -> ConstraintSet:
+    """Frequency vectors of n throws with average a, in lexicographic count order.
+
+    Returns an empty set (target_sum -1) when a*n is not an integer in [n, 6n].
+    """
+    try:
+        s = _target_sum(n, a)
+    except ContradictoryData:
+        s = -1
+    if not n <= s <= 6 * n:
+        return ConstraintSet(n, -1, np.zeros((0, N_FACES), dtype=np.int64))
+    return ConstraintSet(n, s, _constrained_counts(n, s))
 
 
 def brute_force_fair(n: int, a: Average, throw: str) -> Tuple[Fraction, ...]:
@@ -136,6 +204,35 @@ def exact_johnson(n: int, a: Average, k: int, throw: str) -> Tuple[Fraction, ...
             else:
                 num[i] += w * Fraction(c + k, n + 6 * k)
     return tuple(x / den for x in num)
+
+
+def enumerated_posterior(n: int, a: Average, throw: str, pseudo=None) -> np.ndarray:
+    """Fair-throw (pseudo None) or Johnson posterior in floating point, as the
+    weighted mean over every listed frequency vector.
+
+    The weights are prod 1/c! or prod (pseudo_v)_c / c!, gathered per vector
+    and face from a table over c = 0..n and combined in log domain.
+    """
+    counts = enumerate_constrained_frequencies(n, a).counts
+    if not len(counts):
+        raise ContradictoryData(f"no frequency vector realizes average {a} over {n} throws")
+    if pseudo is None:
+        table = -np.array([math.lgamma(c + 1.0) for c in range(n + 1)])[:, None]
+        table = np.repeat(table, N_FACES, axis=1)
+    else:
+        pseudo = np.asarray(pseudo, dtype=float)
+        j = np.arange(n)[:, None]
+        table = np.concatenate([np.zeros((1, N_FACES)),
+                                np.cumsum(np.log(pseudo + j) - np.log1p(j), axis=0)])
+    lw = table[counts, np.arange(N_FACES)].sum(axis=1)
+    w = np.exp(lw - lw.max())
+    if throw == OLD:
+        probs = counts / n
+    elif pseudo is None:
+        probs = np.full(counts.shape, 1.0 / N_FACES)
+    else:
+        probs = (counts + pseudo) / (n + pseudo.sum())
+    return w @ probs / w.sum()
 
 
 def multinomial_exact(nv: FrequencyVector) -> int:

@@ -230,6 +230,22 @@ class TestReproduce:
                      "--only", "n1-a5"]) == 0
         out = capsys.readouterr().out
         assert "## n1-a5" in out and "## n1-a6" not in out
+        # the given --only replaces the config's list; the config still sets --format
+        config.write_text(json.dumps({"only": ["n1-a6", "n1-a5"], "format": "csv"}))
+        assert main(["reproduce", "--config", str(config), "--only", "n2-a6"]) == 0
+        out = capsys.readouterr().out
+        assert "n2-a6" in out and "n1-a6" not in out and "n1-a5" not in out
+        assert "## " not in out
+
+    def test_config_does_not_override_a_flag_given_at_its_default(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": "json"}))
+        assert main(["eval", "--n", "2", "--avg", "5", "--model", "fair", "--throw", "old",
+                     "--format", "text", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("(0.0, 0.0, 0.0, 33.3, 33.3, 33.3)")
+        assert main(["eval", "--n", "2", "--avg", "5", "--model", "fair", "--throw", "old",
+                     "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "closed-form"
 
     def test_bad_config_key(self, tmp_path):
         config = tmp_path / "config.json"

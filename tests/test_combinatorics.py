@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dicebayes import (Average, FrequencyVector, enumerate_constrained_frequencies,
-                       shannon_entropy)
+from dicebayes import Average, shannon_entropy
 from dicebayes.core import FACE_VALUES
-from oracle import count_sequences, multinomial_exact
+from oracle import (FrequencyVector, count_sequences, enumerate_constrained_frequencies,
+                    multinomial_exact)
 
 
 def members(n, a):

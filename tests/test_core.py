@@ -4,14 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from dicebayes import (Average, Distribution, FrequencyVector, burg_entropy,
-                       kl_divergence, shannon_entropy, NEG_INFINITY, POS_INFINITY)
+from dicebayes import (Average, Distribution, burg_entropy, kl_divergence,
+                       shannon_entropy, NEG_INFINITY, POS_INFINITY)
+from oracle import FrequencyVector
 
 
 class TestDistribution:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             Distribution((0.5, 0.5, 0.5, 0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # every comparison with nan is false: nan passes a test for p < 0
+        with pytest.raises(ValueError):
+            Distribution((bad,) * 6)
+        with pytest.raises(ValueError):
+            Distribution((bad, 1.0, 0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            Distribution((bad, 0.5, 0.5, 0.0, 0.0, 0.0))
 
     def test_from_weights(self):
         d = Distribution.from_weights((1, 1, 2, 0, 0, 0))

@@ -1,6 +1,7 @@
 """Closed-form fair-throw and Johnson posteriors against exact-rational oracles."""
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dicebayes import (Average, ContradictoryData, Distribution, NEW, OLD,
-                       fair_posterior, generalized_johnson_posterior, johnson_posterior)
+                       fair_posterior, generalized_johnson_posterior, johnson_large_n,
+                       johnson_posterior, maxent_shannon)
+from dicebayes.cli import main
 from oracle import (brute_force_fair, brute_force_fair_literal, count_sequences,
-                    exact_johnson)
+                    enumerated_posterior, exact_johnson)
 
 
 def assert_close(result, expected, tol=1e-12):
@@ -152,3 +155,72 @@ class TestFaceReversalSymmetry:
             for got, want in zip(fwd.distribution, rev.distribution.reversed()):
                 assert got == pytest.approx(want, abs=1e-12)
             cases += 1
+
+
+class TestPairingAgainstEnumeration:
+    """The closed forms pair two three-face halves at the two constraints; the
+    oracle lists every frequency vector and takes the weighted mean."""
+
+    def test_every_average_up_to_twenty_throws(self):
+        worst = 0.0
+        for n in range(1, 21):
+            for s in range(n, 6 * n + 1):
+                a = Average(Fraction(s, n))
+                got = fair_posterior(n, a, OLD).distribution.probs
+                worst = max(worst, np.abs(got - enumerated_posterior(n, a, OLD)).max())
+                for k in (0.5, 1.0, 5.0, 50.0):
+                    for throw in (OLD, NEW):
+                        got = johnson_posterior(n, a, k, throw).distribution.probs
+                        want = enumerated_posterior(n, a, throw, (k,) * 6)
+                        worst = max(worst, np.abs(got - want).max())
+        assert worst <= 1e-13
+
+    def test_random_bases(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            a = Average(Fraction(rng.randint(n, 6 * n), n))
+            k = rng.choice((0.5, 1.0, 5.0, 50.0))
+            base = Distribution.from_weights([rng.uniform(0.05, 1.0) for _ in range(6)])
+            for throw in (OLD, NEW):
+                got = generalized_johnson_posterior(n, a, k, base, throw).distribution.probs
+                want = enumerated_posterior(n, a, throw, [k * m for m in base])
+                assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_vertex_averages_at_many_throws(self, n):
+        # one count vector: every throw shows the face; no tilt is needed
+        for face in (1, 6):
+            a = Average(Fraction(face))
+            assert fair_posterior(n, a, OLD).distribution == Distribution.vertex(face)
+            res = johnson_posterior(n, a, 2.0, NEW)
+            expected = [(2.0 + n * (v == face)) / (n + 12.0) for v in range(1, 7)]
+            assert np.abs(np.asarray(res.distribution.probs) - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("a, tol", [(Fraction(7, 2), 1e-6), (Fraction(5), 5e-4)])
+    @pytest.mark.parametrize("k", [2.5, 5.0])
+    def test_richardson_in_n_reaches_the_large_n_slice(self, a, tol, k):
+        # the old-throw posterior approaches the slice mean as 1/N, so
+        # 2 P(960) - P(480) checks the Fourier slice at a non-integer K, where
+        # the B-spline oracle cannot go
+        coarse, fine = (np.asarray(johnson_posterior(n, Average(a), k, OLD).distribution.probs)
+                        for n in (480, 960))
+        slice_mean = np.asarray(johnson_large_n(Average(a), k).distribution.probs)
+        assert np.abs(2 * fine - coarse - slice_mean).max() <= tol
+
+    def test_fair_approaches_shannon_as_one_over_n(self):
+        a = Average(Fraction(5))
+        shannon = np.asarray(maxent_shannon(a).distribution.probs)
+        for n in (120, 240, 480, 960):
+            dev = np.abs(np.asarray(fair_posterior(n, a, OLD).distribution.probs) - shannon)
+            assert n * dev.max() == pytest.approx(0.161, abs=0.002)
+
+    def test_too_many_counts_per_face_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["eval", "--n", "4000", "--avg", "7/2", "--model", "johnson",
+                     "--param", "5", "--throw", "old"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "--large-n" in capsys.readouterr().err
+        res = johnson_posterior(1000, Average(Fraction(7, 2)), 5.0, OLD)
+        assert abs(sum(res.distribution.probs) - 1.0) <= 1e-12
