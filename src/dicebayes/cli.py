@@ -70,7 +70,7 @@ def _fmt_percent(probs: Sequence[float]) -> str:
 
 def _fmt_result(result: PosteriorResult) -> str:
     return (f"{_fmt_percent(result.distribution)} % "
-            f"[H={max(result.entropy_nats, 0.0):.3f} nat]")
+            f"[H={result.entropy_nats:.3f} nat]")
 
 
 # --- eval -----------------------------------------------------------------
@@ -240,7 +240,7 @@ def _cell_text(cell: ComputedCell) -> str:
     if cell.uniform_any_a:
         return UNIFORM_ANY_A
     text = (f"{_fmt_percent(cell.result.distribution)} "
-            f"[{max(cell.result.entropy_nats, 0.0):.3f}]")
+            f"[{cell.result.entropy_nats:.3f}]")
     if cell.annotation:
         text += f" ({cell.annotation})"
     return text

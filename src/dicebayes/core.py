@@ -72,7 +72,14 @@ class Distribution:
     def from_weights(cls, weights) -> "Distribution":
         """Renormalize non-negative weights into a valid distribution."""
         w = [float(x) for x in weights]
+        if not all(math.isfinite(x) for x in w):
+            raise ValueError(f"weights must be finite, got {tuple(w)}")
         total = sum(w)
+        if total == math.inf:
+            # finite weights whose sum overflows: scale by the largest first
+            top = max(w)
+            w = [x / top for x in w]
+            total = sum(w)
         if total <= 0.0:
             raise ValueError("weights must have a positive sum")
         return cls(tuple(x / total for x in w))
@@ -260,7 +267,8 @@ def shannon_entropy(f) -> float:
     """-sum f_i ln f_i in nats, with the 0 ln 0 = 0 convention."""
     p = _as_probs(f)
     nz = p > 0.0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+    # a vertex sums to -0.0, and -0.0 + 0.0 is 0.0
+    return float(-np.sum(p[nz] * np.log(p[nz]))) + 0.0
 
 
 def burg_entropy(f) -> Entropy:

@@ -19,7 +19,10 @@ a constant on the simplex), scaled by its maximum and trimmed to the entries
 whose exp does not underflow, so large L neither overflows nor costs more.
 The error falls as M^-2: the result is the Richardson extrapolation of M and
 2M, their difference / 3 its error bound, and M doubles from a size set by
-L / min m until that bound is within 1e-5.
+L / min m until that bound is within 1e-5. A lattice is kept across queries,
+one per (L, M, base), so queries at the same L reuse its face sequences and
+partial convolutions; past 16 MB of those the kept lattices are dropped at the
+end of a query. A kept lattice returns the numbers a new one would, bit for bit.
 
 Monte Carlo (method="mc", the default of the model functions) is the
 reference the lattice is checked against. It samples the simplex uniformly
@@ -210,6 +213,10 @@ class _Lattice:
     product of the convolutions of faces 1-3 and faces 4-6, which are built
     from cached prefixes. Without a base the faces are exchangeable: all six
     share one sequence, and I(k) depends only on the sorted counts.
+
+    Lattices are shared across queries through _lattice, by (L, M, base), so
+    the prefixes of every earlier query stay cached; `nbytes` counts their
+    bytes, and past _LATTICE_CACHE_BYTES (16 MB) they are dropped.
     """
 
     def __init__(self, scale: float, grid: int, base: Optional[Distribution] = None):
@@ -228,6 +235,7 @@ class _Lattice:
             log_m = np.log(N_FACES * np.asarray(base.probs))
             self._log_h0, self._rows = log_h0 + scale * np.outer(log_m, p), range(N_FACES)
         self._products: dict = {}
+        self.nbytes = 0         # of the products held in _products
 
     def _product(self, faces: tuple):
         """The convolution of the (row, count) faces, entries past M dropped."""
@@ -247,6 +255,7 @@ class _Lattice:
             if top > 0.0:
                 vals, log_s = vals / top, log_s + math.log(top)
         self._products[faces] = (lo, vals, log_s)
+        self.nbytes += vals.nbytes
         return self._products[faces]
 
     def log_integral(self, key: tuple) -> float:
@@ -263,6 +272,24 @@ class _Lattice:
         total = float(a[j0 - lo_a:j1 - lo_a]
                       @ b[self.grid - j1 - lo_b + 1:self.grid - j0 - lo_b + 1][::-1])
         return math.log(total) + log_a + log_b if total > 0.0 else -math.inf
+
+
+# Lattices kept across queries, by (L, M, base): the tables ask for many (N, a)
+# cells at few L, and each cell's grids need the same face sequences and prefix
+# convolutions. A base lattice never stands in for the symmetric one, even for
+# the uniform base. The name ends in _CACHE so that perfbench empties it before
+# each round: a user's fresh process starts with it empty too.
+_LATTICE_CACHE: dict = {}
+# Past this many bytes of products the cache is emptied after the query, so one
+# large lattice (large N, or a base at large L) is not kept for the whole process.
+_LATTICE_CACHE_BYTES = 1 << 24
+
+
+def _lattice(scale: float, grid: int, base: Optional[Distribution]) -> _Lattice:
+    key = (scale, grid, base)
+    if key not in _LATTICE_CACHE:
+        _LATTICE_CACHE[key] = _Lattice(scale, grid, base)
+    return _LATTICE_CACHE[key]
 
 
 def _lattice_probs(counts: np.ndarray, n: int, throw: str, lattice: _Lattice) -> np.ndarray:
@@ -340,9 +367,13 @@ def _finite_posterior(n: int, a: Average, scale: float,
                              f"than {_MAX_GRID} points per face; ask for the parameter-large "
                              f"limit instead (--param large)")
         counts = _constrained_counts(n, s)
-        probs, bound = _richardson(
-            lambda m: _lattice_probs(counts, n, throw, _Lattice(scale, m, base)),
-            grid, _LATTICE_TOL, _MAX_GRID)
+        try:
+            probs, bound = _richardson(
+                lambda m: _lattice_probs(counts, n, throw, _lattice(scale, m, base)),
+                grid, _LATTICE_TOL, _MAX_GRID)
+        finally:
+            if sum(lat.nbytes for lat in _LATTICE_CACHE.values()) > _LATTICE_CACHE_BYTES:
+                _LATTICE_CACHE.clear()
         return PosteriorResult.from_distribution(
             Distribution.from_weights(probs), DETERMINISTIC_QUAD, error_bound=bound)
 

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -135,6 +136,32 @@ class TestEval:
         line, = [l for l in out.splitlines() if l.startswith("error bound: (")]
         assert line.endswith(") pp")
 
+    def test_vertex_entropy_is_not_negative_zero(self, capsys):
+        # a vertex's entropy sums to -0.0, which printed as -0.000
+        argv = ["eval", "--large-n", "--avg", "6", "--model", "maxent-burg"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "[H=0.000 nat]" in out and "-0.0" not in out
+        assert main(argv + ["--format", "json"]) == 0
+        entropy = json.loads(capsys.readouterr().out)["entropy"]
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
+    def test_base_weights_whose_sum_overflows(self, capsys):
+        # six weights of 1e308 are a uniform base, though their sum overflows
+        argv = ["eval", "--n", "2", "--avg", "5", "--model", "johnson", "--param", "5",
+                "--throw", "old", "--m"]
+        assert main(argv + [",".join(["1e308"] * 6)]) == 0
+        huge = capsys.readouterr().out
+        assert main(argv + ["1,1,1,1,1,1"]) == 0
+        assert huge == capsys.readouterr().out
+
+    @pytest.mark.parametrize("weights", ["inf,1,1,1,1,1", "1,1,nan,1,1,1",
+                                         "1,1,1,1,1,-inf"])
+    def test_non_finite_base_weights_are_refused(self, capsys, weights):
+        assert main(["eval", "--n", "2", "--avg", "5", "--model", "johnson",
+                     "--param", "5", "--throw", "old", "--m", weights]) == 3
+        assert "weights must be finite" in capsys.readouterr().err
+
     def test_console_entry_point(self):
         proc = run_cli("eval", "--n", "2", "--avg", "5", "--model", "fair",
                        "--throw", "old")
@@ -174,6 +201,19 @@ class TestReproduce:
         row_models = [r["model"] for r in docs[0]["rows"]]
         assert row_models[0] == "me"
         assert "johnson" in row_models and "multiplicity" in row_models
+
+    def test_no_negative_zero_entropy(self, capsys):
+        # the vertex cells of these tables printed [-0.000] and "entropy": -0.0
+        argv = ["reproduce", "--only", "n1-a6", "--only", "large-a6"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "[0.000]" in out and "-0.0" not in out
+        assert main(argv + ["--format", "json"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        entropies = [row[throw]["entropy"] for doc in docs for row in doc["rows"]
+                     for throw in ("old", "new") if row[throw] is not None]
+        assert 0.0 in entropies
+        assert all(math.copysign(1.0, h) == 1.0 for h in entropies)
 
     def test_json_rows_carry_lattice_error_bounds(self, capsys):
         assert main(["reproduce", "--only", "n2-a5", "--format", "json"]) == 0

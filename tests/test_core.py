@@ -23,10 +23,17 @@ class TestDistribution:
             Distribution((bad, 1.0, 0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             Distribution((bad, 0.5, 0.5, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            Distribution.from_weights((bad, 1, 1, 1, 1, 1))
 
     def test_from_weights(self):
         d = Distribution.from_weights((1, 1, 2, 0, 0, 0))
         assert d.probs == (0.25, 0.25, 0.5, 0.0, 0.0, 0.0)
+
+    def test_from_weights_whose_sum_overflows(self):
+        assert Distribution.from_weights((1e308,) * 6) == Distribution.from_weights((1,) * 6)
+        d = Distribution.from_weights((1.5e308, 1.5e308, 0, 0, 0, 0))
+        assert d.probs == (0.5, 0.5, 0.0, 0.0, 0.0, 0.0)
 
     def test_vertex_and_mean(self):
         assert Distribution.vertex(4).mean_value() == 4.0
@@ -67,6 +74,8 @@ class TestFrequencyVector:
 class TestEntropies:
     def test_shannon_anchors(self):
         assert shannon_entropy((1, 0, 0, 0, 0, 0)) == 0.0
+        # a vertex sums to -0.0, which formats as -0.000
+        assert math.copysign(1.0, shannon_entropy((0, 0, 0, 0, 0, 1))) == 1.0
         assert shannon_entropy((1 / 6,) * 6) == pytest.approx(math.log(6), rel=1e-12)
 
     def test_burg_anchors(self):

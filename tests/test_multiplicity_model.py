@@ -247,6 +247,53 @@ class TestBaseLattice:
                 method="deterministic")
 
 
+class TestLatticeCache:
+    """Lattices are shared across queries by (L, M, base); sharing moves no bit."""
+
+    def test_warm_cache_matches_a_cold_one(self):
+        cache = multiplicity_model._LATTICE_CACHE
+        cells = [(n, a, scale, throw) for n, a in TABLE_DATA
+                 for scale in (1.0, 5.0, 50.0) for throw in (OLD, NEW)]
+        cache.clear()
+        warm = [lattice(*cell) for cell in cells]
+        assert len(cache) == 6              # three L, each on grids 500 and 1000
+        for cell, res in zip(cells, warm):
+            cache.clear()
+            cold = lattice(*cell)
+            assert np.array_equal(res.distribution.probs, cold.distribution.probs)
+            assert np.array_equal(res.error_bound, cold.error_bound)
+
+    def test_uniform_base_has_its_own_lattice(self):
+        cache = multiplicity_model._LATTICE_CACHE
+        cache.clear()
+        lattice(2, "5", 5.0, OLD)
+        generalized_multiplicity_posterior(2, A5, 5.0, Distribution.uniform(), OLD,
+                                           method="deterministic")
+        plain = {grid: lat for (_, grid, base), lat in cache.items() if base is None}
+        based = {grid: lat for (_, grid, base), lat in cache.items() if base is not None}
+        assert plain and plain.keys() == based.keys()
+        for grid, lat in plain.items():
+            assert lat.symmetric and not based[grid].symmetric
+
+    def test_past_the_cap_the_cache_is_emptied(self, monkeypatch):
+        monkeypatch.setattr(multiplicity_model, "_LATTICE_CACHE_BYTES", 8)
+        first = lattice(6, "7/2", 5.0, NEW)
+        assert not multiplicity_model._LATTICE_CACHE
+        again = lattice(6, "7/2", 5.0, NEW)
+        assert np.array_equal(first.distribution.probs, again.distribution.probs)
+        assert np.array_equal(first.error_bound, again.error_bound)
+
+    def test_cap_holds_when_the_query_raises(self, monkeypatch):
+        monkeypatch.setattr(multiplicity_model, "_LATTICE_CACHE_BYTES", 8)
+        monkeypatch.setattr(multiplicity_model, "_LATTICE_TOL", 0.0)
+        monkeypatch.setattr(multiplicity_model, "_MAX_GRID", 1000)   # stop at 500 and 1000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BudgetExhausted)
+            with pytest.raises(BudgetExhausted):
+                lattice(2, "5", 5.0, OLD)
+        assert not multiplicity_model._LATTICE_CACHE
+
+
 class TestLargeN:
     def test_johnson_flat_density_anchor(self):
         # concentration 1 makes the slice density flat; the posterior is the
