@@ -87,9 +87,12 @@ def _eval_query(args) -> PosteriorResult:
     base = _parse_base(args.m) if args.m else None
 
     if args.model == "maxent-shannon":
+        if base is not None:
+            raise _UsageError("--model maxent-shannon takes no --m; the distribution "
+                              "of least divergence from a base is --model min-kl")
         return _limit(maxent_shannon(a).distribution)
     if args.model == "maxent-burg":
-        return _limit(maxent_burg(a).distribution)
+        return _limit(maxent_burg(a, base).distribution)
     if args.model == "min-kl":
         if base is None:
             raise _UsageError("--model min-kl requires --m")
@@ -107,6 +110,9 @@ def _eval_query(args) -> PosteriorResult:
             raise _UsageError("--param must be a finite number or 'large'")
 
     if args.model == "fair":
+        if base is not None:
+            raise _UsageError("--model fair takes no --m; fair throws from a base are "
+                              "--model johnson (or multiplicity) --param large --m")
         model = FairThrow()
     elif param is None:
         raise _UsageError(f"--model {args.model} requires --param")
@@ -421,7 +427,8 @@ def build_parser() -> _Parser:
                     help="model parameter (K or L), or 'large'")
     ev.add_argument("--throw", choices=[OLD, NEW], default=None)
     ev.add_argument("--m", default=None,
-                    help="base distribution, 6 comma-separated probabilities")
+                    help="base distribution m, 6 comma-separated weights (johnson, "
+                         "multiplicity, maxent-burg, min-kl)")
     ev.add_argument("--n-over-param", choices=["small", "large"], default=None,
                     help="with --large-n and --param large, which ratio dominates")
     ev.add_argument("--format", choices=["text", "json", "csv"], default="text")

@@ -9,12 +9,14 @@ vectors. The old throw is E[c] / N, the Johnson new throw (E[c] + alpha) / (N + 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
-from .core import Average, Distribution, PosteriorResult, CLOSED_FORM, OLD, NEW, N_FACES
+from .core import (_check_base, Average, Distribution, PosteriorResult, CLOSED_FORM, OLD,
+                   NEW, N_FACES)
 from .combinatorics import _pip_total
-from .maxent import maxent_shannon
+from .maxent import maxent_shannon, min_kl
 from .multiplicity_model import _MAX_SLICE_GRID, _check_concentration, _pair_means, _scaled
 
 # Faces scaled to their own maxima may underflow on the constraints once their log
@@ -51,21 +53,26 @@ def _closed_form(n: int, a: Average, table: np.ndarray, saddle, throw: str,
     return PosteriorResult.from_distribution(Distribution.from_weights(probs), CLOSED_FORM)
 
 
-def fair_posterior(n: int, a: Average, throw: str) -> PosteriorResult:
-    """Fair-throw model: the mean of c / N under the weights 1/c! for old
-    throws, uniform for new."""
+def fair_posterior(n: int, a: Average, throw: str,
+                   base: Optional[Distribution] = None) -> PosteriorResult:
+    """Fair-throw model, i.i.d. throws from the base m (uniform without one):
+    the mean of c / N under the weights prod_v m_v^c_v / c_v! for old throws,
+    m for new."""
+    _check_base(base)
     if throw == NEW:
         _pip_total(n, a)    # contradictory data has no new throw either
-        return PosteriorResult.from_distribution(Distribution.uniform(), CLOSED_FORM)
+        return PosteriorResult.from_distribution(base or Distribution.uniform(), CLOSED_FORM)
     from scipy.special import gammaln      # scipy loads on first use; see __init__
+    log_m = np.zeros(N_FACES) if base is None else np.log(base.probs)
 
     def saddle(s):
-        # Poisson faces z^c / c! peak at z = N f, f_v ~ exp(lam v) the Shannon maximizer
-        lam = maxent_shannon(a).lam
-        return math.log(n) - np.logaddexp.reduce(lam * _OFFSETS) + lam * _OFFSETS
+        # Poisson faces (m z)^c / c! peak at m z = N f, f_v ~ m_v exp(lam v)
+        # the distribution of least divergence from m (Shannon's without a base)
+        lam = (maxent_shannon(a) if base is None else min_kl(a, base)).lam
+        return math.log(n) - np.logaddexp.reduce(log_m + lam * _OFFSETS) + lam * _OFFSETS
 
-    table = np.repeat(-gammaln(np.arange(n + 1) + 1.0)[:, None], N_FACES, axis=1)
-    return _closed_form(n, a, table, saddle, OLD)
+    c = np.arange(n + 1)[:, None]
+    return _closed_form(n, a, c * log_m - gammaln(c + 1.0), saddle, OLD)
 
 
 def _johnson_saddle(n: int, s: int, alpha: np.ndarray) -> np.ndarray:
@@ -119,8 +126,7 @@ def generalized_johnson_posterior(n: int, a: Average, concentration: float,
     n = 0 is accepted and returns the prior predictive (= base for a new throw).
     """
     _check_concentration(concentration)
-    if any(p <= 0 for p in base):
-        raise ValueError("base distribution must be strictly positive")
+    _check_base(base)
     if n == 0:
         if throw == OLD:
             raise ValueError("with no data there is no old throw to ask about")

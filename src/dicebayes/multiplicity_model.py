@@ -56,11 +56,11 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import (Average, BudgetExhausted, DegenerateWeights, Distribution,
+from .core import (_check_base, Average, BudgetExhausted, DegenerateWeights, Distribution,
                    PosteriorResult, ANALYTIC_LIMIT, DETERMINISTIC_QUAD, FACE_VALUES,
                    MONTE_CARLO, OLD, N_FACES)
 from .combinatorics import _constrained_counts, _pip_total
-from .maxent import min_kl
+from .maxent import burg_tilt, min_kl
 from .simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator, make_rng,
                                   sample_simplex_uniform)
 
@@ -402,8 +402,7 @@ def generalized_multiplicity_posterior(n: int, a: Average, scale: float,
     method="mc" samples `budget` points from the streams of `seed`;
     method="deterministic" is the lattice, as for the symmetric model.
     """
-    if any(p <= 0 for p in base):
-        raise ValueError("base distribution must be strictly positive")
+    _check_base(base)
     return _finite_posterior(n, a, scale, base, throw, budget, seed, method)
 
 
@@ -435,20 +434,16 @@ def _johnson_fourier(a: float, alpha: np.ndarray):
     N_i = alpha_i int_0^inf Re[phi(t) / (1 - i t c_i)] dt,
     phi(t) = prod_v (1 - i t c_v)^-alpha_v. The integral is first tilted to
     its saddle point: theta solves sum alpha_v c_v / (1 + theta c_v) = 0 with
-    every 1 + theta c_v > 0; c_v becomes c_v / (1 + theta c_v), N_i gains the
-    factor 1 / (1 + theta c_i), and t is scaled by the tilted standard
-    deviation. Without the tilt the terms cancel and the sum is ruined.
+    every 1 + theta c_v > 0 (the Burg multiplier, see burg_tilt); c_v becomes
+    c_v / (1 + theta c_v), N_i gains the factor 1 / (1 + theta c_i), and t is
+    scaled by the tilted standard deviation. Without the tilt the terms cancel
+    and the sum is ruined.
     Returns (probs, per-face error bound from quad's error estimates).
     """
     from scipy.integrate import quad
-    from scipy.optimize import brentq
 
     c = np.asarray(FACE_VALUES, dtype=float) - a
-    # the tilt only conditions the integral, so any root inside the bracket will do
-    lo, hi = -1.0 / c[-1], -1.0 / c[0]
-    theta = brentq(lambda th: float(np.sum(alpha * c / (1.0 + th * c))),
-                   lo * (1.0 - 1e-14), hi * (1.0 - 1e-14))
-    tilt = 1.0 + theta * c
+    tilt = 1.0 + burg_tilt(a, alpha) * c
     ct = c / tilt
     ct /= math.sqrt(float(alpha @ ct ** 2))
 

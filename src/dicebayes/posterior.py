@@ -4,14 +4,15 @@ The regime (finite or large N), the model and its parameter decide the route:
 
 - finite N: the closed forms (fair, Johnson, base-weighted Johnson) or the
   multiplicity lattice (with or without a base); a parameter marked large
-  (math.inf) makes the model collapse to fair throwing at that N;
+  (math.inf) makes the model collapse to fair throwing from its base at that N;
 - large N, finite parameter: the Johnson slice mean by Fourier inversion or
   the multiplicity slice mean on a lattice, old and new throws alike;
-- large N, fair model or parameter dominating N: the Shannon maximizer for an
-  old throw, the uniform distribution for a new one;
-- large N dominating the parameter: the Burg maximizer (Johnson) or the
-  distribution of least divergence from the base (multiplicity; Shannon for
-  the uniform base).
+- large N, fair model or parameter dominating N: the distribution of least
+  divergence from the base for an old throw, the base for a new one;
+- large N dominating the parameter: the maximizer of sum m_v ln f_v (Johnson)
+  or the distribution of least divergence from the base (multiplicity).
+
+Without a base m is uniform, and those maximizers are Burg's and Shannon's.
 """
 from __future__ import annotations
 
@@ -30,9 +31,11 @@ def _limit(dist: Distribution) -> PosteriorResult:
 
 
 def _fair_limit(query: Query) -> PosteriorResult:
+    base = getattr(query.model, "base", None)
     if query.throw == NEW:
-        return _limit(Distribution.uniform())
-    return _limit(maxent_shannon(query.average).distribution)
+        return _limit(base or Distribution.uniform())
+    fit = maxent_shannon(query.average) if base is None else min_kl(query.average, base)
+    return _limit(fit.distribution)
 
 
 def posterior(query: Query) -> PosteriorResult:
@@ -54,7 +57,7 @@ def posterior(query: Query) -> PosteriorResult:
         n = query.regime.n
         if math.isinf(param):
             # parameter >> N: the model collapses to fair throwing at this N
-            return _limit(fair_posterior(n, a, throw).distribution)
+            return _limit(fair_posterior(n, a, throw, model.base).distribution)
         if johnson:
             if model.base is None:
                 return johnson_posterior(n, a, param, throw)
@@ -74,9 +77,5 @@ def posterior(query: Query) -> PosteriorResult:
     if not ratio_large:
         return _fair_limit(query)
     if johnson:
-        if model.base is not None:
-            raise ValueError("no analytic limit is implemented for the "
-                             "base-relative Johnson model at N >> K")
-        return _limit(maxent_burg(a).distribution)
-    base = model.base if model.base is not None else Distribution.uniform()
-    return _limit(min_kl(a, base).distribution)
+        return _limit(maxent_burg(a, model.base).distribution)
+    return _limit(min_kl(a, model.base or Distribution.uniform()).distribution)

@@ -86,6 +86,21 @@ class TestEval:
         assert "(0.0, 0.0, 0.0, 33.3, 33.3, 33.3)" in out
         assert "method: analytic-limit" in out
 
+    def test_base_is_used_or_refused_by_every_model(self, capsys):
+        base = ["--m", "1,2,3,4,5,6"]
+        # fair throwing from m: its new throw is m
+        assert main(["eval", "--n", "3", "--avg", "5", "--model", "johnson",
+                     "--param", "large", "--throw", "new", *base]) == 0
+        assert "(4.8, 9.5, 14.3, 19.0, 23.8, 28.6)" in capsys.readouterr().out
+        assert main(["eval", "--large-n", "--avg", "5", "--model", "maxent-burg", *base]) == 0
+        assert "(1.8, 4.2, 7.8, 13.5, 23.8, 48.9)" in capsys.readouterr().out
+        assert main(["eval", "--large-n", "--avg", "5", "--model", "maxent-shannon",
+                     *base]) == 3
+        assert "--model min-kl" in capsys.readouterr().err
+        assert main(["eval", "--n", "3", "--avg", "5", "--model", "fair",
+                     "--throw", "old", *base]) == 3
+        assert "--param large" in capsys.readouterr().err
+
     def test_no_data_base_weighted_johnson_is_the_base(self, capsys):
         assert main(["eval", "--n", "0", "--avg", "5", "--model", "johnson",
                      "--param", "2", "--m", "1,2,3,4,5,6", "--throw", "new",

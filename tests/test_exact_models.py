@@ -3,6 +3,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -53,6 +54,30 @@ class TestFairPosterior:
                 res = fair_posterior(n, a, throw)
                 assert_close(res, brute_force_fair(n, a, throw))
                 assert_close(res, brute_force_fair_literal(n, a, throw))
+
+    def test_base_matches_weighted_sequence_counts(self):
+        # i.i.d. throws from m: each sequence weighs the product of its faces' m
+        m = [Fraction(v, 21) for v in range(1, 7)]
+        base = Distribution.from_weights(m)
+        for n in range(1, 5):
+            by_sum = {}
+            for seq in product(range(1, 7), repeat=n):
+                first = by_sum.setdefault(sum(seq), [Fraction(0)] * 6)
+                first[seq[0] - 1] += math.prod(m[v - 1] for v in seq)
+            for s, first in by_sum.items():
+                a = Average(Fraction(s, n))
+                assert_close(fair_posterior(n, a, OLD, base), [w / sum(first) for w in first])
+                assert fair_posterior(n, a, NEW, base).distribution == base
+
+    @pytest.mark.parametrize("n, a", [(3, Fraction(5)), (12, Fraction(7, 2)), (300, Fraction(5))])
+    def test_base_is_the_large_concentration_johnson_limit(self, n, a):
+        # n = 300 spans more than 600 nats, so the faces are tilted first; the
+        # Johnson new throw (E[c] + K m) / (n + K) is m to within n / K
+        base, k = Distribution.from_weights(range(1, 7)), 1e14
+        for throw in (OLD, NEW):
+            fair = fair_posterior(n, Average(a), throw, base).distribution.probs
+            johnson = generalized_johnson_posterior(n, Average(a), k, base, throw)
+            assert np.abs(np.subtract(fair, johnson.distribution.probs)).max() <= 1e-12 + n / k
 
 
 class TestJohnsonPosterior:

@@ -69,11 +69,26 @@ class TestBurg:
     def test_vertex_averages(self):
         assert maxent_burg(Average(Fraction(6))).distribution == Distribution.vertex(6)
         assert maxent_burg(Average(Fraction(1))).distribution == Distribution.vertex(1)
+        # an average within rounding of a face is that vertex, without a multiplier
+        near = maxent_burg(Average(Fraction(10**17 + 1, 10**17)))
+        assert near.distribution == Distribution.vertex(1) and near.lam is None
 
     def test_mean_constraint(self):
-        for a in (Fraction(3, 2), Fraction(13, 4), Fraction(9, 2), Fraction(23, 4)):
-            sol = maxent_burg(Average(a))
-            assert sol.distribution.mean_value() == pytest.approx(float(a), abs=1e-10)
+        for base in (None, Distribution.from_weights((5, 1, 2, 4, 1, 3))):
+            m = np.full(6, 1 / 6) if base is None else np.asarray(base.probs)
+            for a in (Fraction(65, 64), Fraction(3, 2), Fraction(13, 4), Fraction(9, 2),
+                      Fraction(23, 4), Fraction(383, 64)):
+                sol = maxent_burg(Average(a), base)
+                assert sol.distribution.mean_value() == pytest.approx(float(a), abs=1e-10)
+                # f_v = m_v / (1 + lam (v - a))
+                want = m / (1.0 + sol.lam * (FACES - float(a)))
+                assert np.abs(np.asarray(sol.distribution.probs) - want).max() <= 1e-12
+
+    def test_uniform_base_recovers_burg(self):
+        for a in (Fraction(5), Fraction(2), Fraction(7, 2), Fraction(65, 64)):
+            weighted = maxent_burg(Average(a), Distribution.uniform()).distribution
+            plain = maxent_burg(Average(a)).distribution
+            assert np.abs(np.subtract(weighted.probs, plain.probs)).max() <= 1e-12
 
 
 class TestMinKl:
@@ -131,6 +146,20 @@ class TestOptimalityCertificates:
                 continue
             assert kl_divergence(q / q.sum(), base.probs) >= \
                 kl_divergence(p, base.probs) - 1e-12
+
+    def test_weighted_burg(self):
+        # the maximizer of sum m_v ln f_v on the constraints, for random bases m
+        rng = np.random.default_rng(14)
+        pyrng = random.Random(14)
+        for _ in range(1000):
+            a = rand_average(pyrng, 1.1, 5.9)
+            base = Distribution.from_weights(rng.uniform(0.05, 1.0, 6))
+            m = np.asarray(base.probs)
+            p = np.asarray(maxent_burg(a, base).distribution.probs)
+            q = perturb_on_constraints(rng, p)
+            if (q <= 0).any():
+                continue
+            assert m @ np.log(q / q.sum()) <= m @ np.log(p) + 1e-10
 
 
 class TestReversalSymmetry:

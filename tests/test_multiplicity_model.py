@@ -307,6 +307,13 @@ class TestLargeN:
         burg = maxent_burg(A5).distribution
         assert max_dev(res.distribution, burg) < 3e-3
 
+    @pytest.mark.parametrize("k", [1e4, 1e6])
+    @pytest.mark.parametrize("a", [Fraction(5), Fraction(7, 2), Fraction(23, 10)])
+    def test_base_johnson_large_concentration_approaches_weighted_burg(self, a, k):
+        # the slice density prod f^(K m_v - 1) peaks at the maximizer of sum m_v ln f_v
+        res = johnson_large_n(Average(a), k, BASE)
+        assert max_dev(res.distribution, maxent_burg(Average(a), BASE).distribution) <= 1 / k
+
     def test_multiplicity_large_scale_approaches_shannon(self):
         res = multiplicity_large_n(A5, 50.0)
         shannon = maxent_shannon(A5).distribution
@@ -482,10 +489,11 @@ class TestAsymptoticDispatch:
         with pytest.raises(ValueError):
             posterior(Query(LargeN(None), A5, OLD, Johnson(math.inf)))
 
-    def test_base_relative_johnson_limit_unsupported(self):
+    def test_n_dominating_base_johnson_is_weighted_burg(self):
         base = Distribution.from_weights((1, 1, 2, 2, 3, 3))
-        with pytest.raises(ValueError):
-            posterior(Query(LargeN(True), A5, OLD, Johnson(math.inf, base)))
+        for throw in (OLD, NEW):
+            res = posterior(Query(LargeN(True), A5, throw, Johnson(math.inf, base)))
+            assert res.distribution == maxent_burg(A5, base).distribution
 
 
 class TestPosteriorRoutes:
@@ -559,6 +567,23 @@ class TestPosteriorRoutes:
         assert johnson.distribution == maxent_burg(A5).distribution
         mult = posterior(Query(LargeN(True), A5, OLD, Multiplicity(math.inf)))
         assert mult.distribution == min_kl(A5, Distribution.uniform()).distribution
+
+    @pytest.mark.parametrize("regime", [Exact(3), LargeN(False), LargeN(True)],
+                             ids=["n3", "param-dominates", "n-dominates"])
+    @pytest.mark.parametrize("model", [Johnson, Multiplicity])
+    @pytest.mark.parametrize("throw", [OLD, NEW])
+    def test_parameter_large_keeps_the_base(self, regime, model, throw):
+        routed = posterior(Query(regime, A5, throw, model(math.inf, BASE))).distribution
+        if isinstance(regime, Exact):
+            direct = fair_posterior(3, A5, throw, BASE).distribution
+        elif regime.n_over_param_large and model is Johnson:
+            direct = maxent_burg(A5, BASE).distribution
+        elif regime.n_over_param_large or throw == OLD:
+            direct = min_kl(A5, BASE).distribution
+        else:
+            direct = BASE
+        assert routed == direct
+        assert routed != posterior(Query(regime, A5, throw, model(math.inf))).distribution
 
     @pytest.mark.parametrize("model", [Johnson(math.inf), Multiplicity(math.inf)])
     def test_large_n_ratio_missing_is_an_error(self, model):
