@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -82,7 +83,47 @@ def _parse_base(text: str) -> Distribution:
     return Distribution.from_weights(parts)
 
 
+def _parse_param(text: Optional[str]) -> Optional[float]:
+    if text is None:
+        return None
+    # math.inf marks the 'parameter large' regime, so a number must be finite
+    if text == "large":
+        return math.inf
+    param = float(text)
+    if not math.isfinite(param):
+        raise _UsageError("--param must be a finite number or 'large'")
+    return param
+
+
+def _refuse_unread_flags(args):
+    """A usage error for a given flag that --model does not read: the maxent
+    models read none of --n, --param, --throw and --n-over-param, fair reads
+    --n and --throw, and johnson and multiplicity read --n-over-param only
+    with --large-n --param large. --m is checked with the model."""
+    model = f"--model {args.model}"
+    if args.n is not None and args.large_n:
+        # argparse keeps the two apart on the command line, not in a config file
+        raise _UsageError("--n and --large-n exclude each other")
+    if args.model in ("maxent-shannon", "maxent-burg", "min-kl"):
+        if args.n is not None:
+            raise _UsageError(f"{model} answers only --large-n; it does not read --n")
+        reads = ()
+    elif args.model == "fair":
+        reads = ("--throw",)
+    else:
+        if args.n_over_param is not None and not (args.large_n and args.param == "large"):
+            raise _UsageError(f"{model} reads --n-over-param only with "
+                              "--large-n --param large")
+        reads = ("--param", "--throw", "--n-over-param")
+    for flag, value in (("--param", args.param), ("--throw", args.throw),
+                        ("--n-over-param", args.n_over_param)):
+        if value is not None and flag not in reads:
+            raise _UsageError(f"{model} does not read {flag}")
+
+
 def _eval_query(args) -> PosteriorResult:
+    param = _parse_param(args.param)
+    _refuse_unread_flags(args)
     a = Average.parse(args.avg)
     base = _parse_base(args.m) if args.m else None
 
@@ -100,15 +141,6 @@ def _eval_query(args) -> PosteriorResult:
 
     if args.throw is None:
         raise _UsageError(f"--model {args.model} requires --throw")
-    # math.inf marks the 'parameter large' regime, so a number must be finite
-    param = None
-    if args.param == "large":
-        param = math.inf
-    elif args.param is not None:
-        param = float(args.param)
-        if not math.isfinite(param):
-            raise _UsageError("--param must be a finite number or 'large'")
-
     if args.model == "fair":
         if base is not None:
             raise _UsageError("--model fair takes no --m; fair throws from a base are "
@@ -466,12 +498,18 @@ def _config_value(parser, action: argparse.Action, key: str, value):
     return items if many else items[0]
 
 
-def _apply_config(parser, args, actions: dict, argv):
+def _apply_config(args, argv):
     """Set each flag that argv does not give from the JSON object in --config.
-    argv is parsed again with the flags' defaults suppressed, so a flag given
-    at its default value, or a given --only, keeps its command-line value."""
+    argv is parsed again, by a parser of its own with the flags' defaults
+    suppressed, so a flag given at its default value, or a given --only, keeps
+    its command-line value and the shared parser keeps its defaults."""
     if not args.config:
         return
+    parser = build_parser()
+    # the flags a config file may set: the command's own, bar --help and --config
+    actions = {a.dest: a for g in parser._subparsers._group_actions
+               for a in g.choices[args.command]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for action in actions.values():
         action.default = argparse.SUPPRESS
     given = vars(parser.parse_args(argv))
@@ -488,18 +526,20 @@ def _apply_config(parser, args, actions: dict, argv):
             setattr(args, action.dest, value)
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser that every `main` call in a process shares. Building one costs
+    about half of a closed-form `eval`; nothing writes to it once built."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # the flags a config file may set: the command's own, bar --help and --config
-    actions = {a.dest: a for g in parser._subparsers._group_actions
-               for a in g.choices[args.command]._actions
-               if a.option_strings and a.dest not in ("help", "config")}
     try:
-        _apply_config(parser, args, actions, argv)
+        _apply_config(args, argv)
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

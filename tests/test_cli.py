@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dicebayes
-from dicebayes import multiplicity_model
+from dicebayes import cli, multiplicity_model
 from dicebayes.cli import main
 
 # the child interpreter imports the same dicebayes as this one
@@ -25,6 +26,44 @@ def run_python(*args):
 
 def run_cli(*argv):
     return run_python("-m", "dicebayes.cli", *argv)
+
+
+def readme_cli_examples():
+    """The command lines of the README's CLI section, without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("dicebayes ")]
+
+
+def _refused_flag_cases():
+    """(eval argv, the flag it must name): the command lines that printed an
+    answer while ignoring a flag, then each flag each model does not read."""
+    cases = [("--n 2 --avg 5 --model fair --throw old --param 7", "--param"),
+             ("--n 2 --avg 5 --model maxent-burg", "--n"),
+             ("--n 2 --avg 5 --model johnson --param 3 --throw old --n-over-param small",
+              "--n-over-param"),
+             ("--large-n --avg 5 --model johnson --param 5 --throw old --n-over-param large",
+              "--n-over-param")]
+    extra = {"--param": "--param 2", "--throw": "--throw old",
+             "--n-over-param": "--n-over-param small"}
+    for model in ("maxent-shannon", "maxent-burg", "min-kl"):
+        base = " --m 1,2,3,4,5,6" if model == "min-kl" else ""
+        cases.append((f"--n 1 --avg 5 --model {model}{base}", "--n"))
+        cases += [(f"--large-n --avg 5 --model {model}{base} {text}", flag)
+                  for flag, text in extra.items()]
+    cases += [("--n 2 --avg 5 --model fair --throw old --n-over-param large", "--n-over-param"),
+              ("--large-n --avg 5 --model fair --throw old --param large", "--param")]
+    for model in ("johnson", "multiplicity"):
+        cases += [(f"--large-n --avg 5 --model {model} --param 5 --throw old "
+                   "--n-over-param small", "--n-over-param"),
+                  (f"--n 2 --avg 5 --model {model} --param large --throw new "
+                   "--n-over-param large", "--n-over-param")]
+    # refused before anything is computed: these averages are contradictory
+    cases += [("--n 1 --avg 3.5 --model fair --throw old --param 2", "--param"),
+              ("--n 1 --avg 3.5 --model johnson --param 2 --throw old "
+               "--n-over-param small", "--n-over-param")]
+    return cases
 
 
 class TestEval:
@@ -176,6 +215,25 @@ class TestEval:
         assert main(["eval", "--n", "2", "--avg", "5", "--model", "johnson",
                      "--param", "5", "--throw", "old", "--m", weights]) == 3
         assert "weights must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", _refused_flag_cases())
+    def test_flags_the_model_does_not_read_are_refused(self, capsys, argv, flag):
+        assert main(["eval", *argv.split()]) == 3
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+    def test_n_from_a_config_with_large_n_is_refused(self, tmp_path, capsys):
+        # the command line keeps --n and --large-n apart; a config file may not
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 2}))
+        assert main(["eval", "--large-n", "--avg", "5", "--model", "fair",
+                     "--throw", "old", "--config", str(path)]) == 3
+        assert "--n and --large-n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_readme_examples_exit_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_console_entry_point(self):
         proc = run_cli("eval", "--n", "2", "--avg", "5", "--model", "fair",
@@ -332,6 +390,52 @@ class TestReproduce:
         assert main(["eval", "--large-n", "--avg", "5", "--model", "fair", "--throw", "old",
                      "--config", str(path)]) == 3
         assert "'n'" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        # building the parser costs about half of a closed-form query
+        build_parser, builds = cli.build_parser, []
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for argv in (["--n", "2", "--avg", "5", "--model", "fair", "--throw", "old"],
+                     ["--n", "3", "--avg", "4", "--model", "johnson", "--param", "1",
+                      "--throw", "new"],
+                     ["--large-n", "--avg", "5", "--model", "maxent-burg"]):
+            assert main(["eval", *argv, "--format", "json"]) == 0
+        assert len(builds) == 1
+
+    def test_reuse_leaks_no_state(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": "json"}))
+        calls = [["reproduce", "--only", "n1-a6", "--config", str(config)],
+                 ["reproduce", "--only", "n1-a6"],
+                 ["eval", "--n", "2", "--avg", "5", "--model", "johnson", "--throw", "old"],
+                 ["eval", "--n", "2", "--avg", "5", "--model", "fair", "--throw", "old"],
+                 ["reproduce", "--only", "n1-a6"],
+                 ["reproduce", "--only", "n1-a6"]]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        cli._parser.cache_clear()
+        shared = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 3, 0, 0, 0]
+        assert json.loads(shared[0][1])[0]["problem"]["avg"] == "6"
+        for _, out, _ in (shared[1], shared[4], shared[5]):
+            assert out.startswith("## n1-a6") and out.count("## ") == 1
 
 
 class TestImport:
