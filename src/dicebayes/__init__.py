@@ -9,22 +9,41 @@ Fourier inversion, multiplicity on a lattice, each with an error bound) and
 constrained entropy maximization (Shannon, Burg, and minimum divergence from a
 base distribution).
 
-Importing the package loads numpy only: scipy (about 0.5 s of imports) is
-imported inside the functions that use it, on their first call.
+Importing the package loads nothing else: each public name imports its submodule,
+and numpy with it, on first access (PEP 562). scipy loads only inside the
+multiplicity model (gammaln, digamma) and the large-N slices (quad).
 """
 
-from .core import (Average, BudgetExhausted, ContradictoryData, DegenerateWeights,
-                   Distribution, Exact, FairThrow, Johnson, LargeN,
-                   Multiplicity, PosteriorResult, Query, NEG_INFINITY, POS_INFINITY,
-                   NEW, OLD, burg_entropy, kl_divergence, shannon_entropy)
-from .exact_models import fair_posterior, generalized_johnson_posterior, johnson_posterior
-from .maxent import MaxentSolution, maxent_burg, maxent_shannon, min_kl
-from .simplex_integration import sample_simplex_uniform
-from .multiplicity_model import (generalized_multiplicity_posterior,
-                                 johnson_large_n, multiplicity_large_n,
-                                 multiplicity_posterior)
-from .posterior import posterior
-from .reference import ReferenceCell, ReferenceRow, ReferenceTable, load_reference_tables
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each public name, by the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "core": "Average BudgetExhausted ContradictoryData DegenerateWeights Distribution Exact "
+            "FairThrow Johnson LargeN Multiplicity PosteriorResult Query NEW OLD shannon_entropy",
+    "exact_models": "fair_posterior generalized_johnson_posterior johnson_posterior",
+    "maxent": "MaxentSolution maxent_burg maxent_shannon min_kl",
+    "multiplicity_model": "generalized_multiplicity_posterior johnson_large_n "
+                          "multiplicity_large_n multiplicity_posterior",
+    "router": "posterior",
+    "reference": "ReferenceCell ReferenceRow ReferenceTable load_reference_tables",
+    "simplex_integration": "sample_simplex_uniform",
+}.items() for name in names.split()}
+_SUBMODULES = ("combinatorics", "core", "exact_models", "maxent", "multiplicity_model",
+               "reference", "simplex_integration")
+
+__all__ = sorted([*_EXPORTS, *_SUBMODULES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

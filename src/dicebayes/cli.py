@@ -18,7 +18,7 @@ from .core import (Average, BudgetExhausted, ContradictoryData, Distribution, Ex
                    FairThrow, Johnson, LargeN, Multiplicity, Query, PosteriorResult,
                    NEW, OLD, shannon_entropy)
 from .maxent import maxent_burg, maxent_shannon, min_kl
-from .posterior import _limit, posterior
+from .router import _limit, posterior
 from .reference import (ReferenceRow, ReferenceTable, UNIFORM_ANY_A,
                         load_reference_tables)
 
@@ -543,6 +543,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: this query needs more memory than the process can get; ask for "
+              "the many-throw limit (--large-n) or the parameter-large limit "
+              "(--param large)", file=sys.stderr)
         return EXIT_USAGE
 
 

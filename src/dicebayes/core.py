@@ -1,4 +1,4 @@
-"""Shared domain types and entropy functionals for die-throw posterior inference."""
+"""Shared domain types and the Shannon entropy for die-throw posterior inference."""
 from __future__ import annotations
 
 import math
@@ -11,7 +11,6 @@ import numpy as np
 FACE_VALUES = (1, 2, 3, 4, 5, 6)
 N_FACES = 6
 NORMALIZATION_TOL = 1e-12
-LN6 = math.log(6.0)
 
 
 class ContradictoryData(Exception):
@@ -25,31 +24,6 @@ class BudgetExhausted(Warning):
 class DegenerateWeights(Warning):
     """Monte Carlo importance weights collapsed onto a few samples, so the
     estimate and its stderr cannot be trusted."""
-
-
-class _Infinite:
-    """Tagged infinity sentinel; deliberately not a float so callers must branch on it."""
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        self._sign = sign
-
-    def __repr__(self) -> str:
-        return "NEG_INFINITY" if self._sign < 0 else "POS_INFINITY"
-
-    def __float__(self) -> float:
-        return math.inf if self._sign > 0 else -math.inf
-
-    @property
-    def sign(self) -> int:
-        return self._sign
-
-
-NEG_INFINITY = _Infinite(-1)
-POS_INFINITY = _Infinite(+1)
-
-Entropy = Union[float, _Infinite]
 
 
 @dataclass(frozen=True)
@@ -94,14 +68,6 @@ class Distribution:
             raise ValueError(f"face must be 1..6, got {face}")
         return cls(tuple(1.0 if i + 1 == face else 0.0 for i in range(6)))
 
-    def reversed(self) -> "Distribution":
-        """Relabel faces i -> 7 - i."""
-        return Distribution(self.probs[::-1])
-
-    def mean_value(self) -> float:
-        """Expected number of pips."""
-        return sum(v * p for v, p in zip(FACE_VALUES, self.probs))
-
     def __iter__(self):
         return iter(self.probs)
 
@@ -125,9 +91,6 @@ class Average:
     def parse(cls, text: str) -> "Average":
         """Accept both '7/2' and '3.5'."""
         return cls(Fraction(str(text)))
-
-    def reversed(self) -> "Average":
-        return Average(7 - self.value)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -257,33 +220,11 @@ class PosteriorResult:
         return cls(dist, shannon_entropy(dist), method, mc_stderr, error_bound)
 
 
-# --- entropy / divergence functionals ------------------------------------
-
-def _as_probs(f) -> np.ndarray:
-    return np.asarray(getattr(f, "probs", f), dtype=float)
-
+# --- entropy ---------------------------------------------------------------
 
 def shannon_entropy(f) -> float:
     """-sum f_i ln f_i in nats, with the 0 ln 0 = 0 convention."""
-    p = _as_probs(f)
+    p = np.asarray(getattr(f, "probs", f), dtype=float)
     nz = p > 0.0
     # a vertex sums to -0.0, and -0.0 + 0.0 is 0.0
     return float(-np.sum(p[nz] * np.log(p[nz]))) + 0.0
-
-
-def burg_entropy(f) -> Entropy:
-    """sum_i ln f_i in nats; NEG_INFINITY if any entry vanishes."""
-    p = _as_probs(f)
-    if np.any(p == 0.0):
-        return NEG_INFINITY
-    return float(np.sum(np.log(p)))
-
-
-def kl_divergence(m, f) -> Entropy:
-    """sum m_i ln(m_i / f_i) with 0 ln(0/x) = 0; POS_INFINITY where f_i = 0 < m_i."""
-    mm = _as_probs(m)
-    ff = _as_probs(f)
-    active = mm > 0.0
-    if np.any(ff[active] == 0.0):
-        return POS_INFINITY
-    return float(np.sum(mm[active] * np.log(mm[active] / ff[active])))

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (_check_base, Average, Distribution, PosteriorResult, CLOSED_FORM, OLD,
                    NEW, N_FACES)
 from .combinatorics import _pip_total
-from .maxent import maxent_shannon, min_kl
+from .maxent import _brentq, maxent_shannon, min_kl
 from .multiplicity_model import _MAX_SLICE_GRID, _check_concentration, _pair_means, _scaled
 
 # Faces scaled to their own maxima may underflow on the constraints once their log
@@ -62,7 +62,6 @@ def fair_posterior(n: int, a: Average, throw: str,
     if throw == NEW:
         _pip_total(n, a)    # contradictory data has no new throw either
         return PosteriorResult.from_distribution(base or Distribution.uniform(), CLOSED_FORM)
-    from scipy.special import gammaln      # scipy loads on first use; see __init__
     log_m = np.zeros(N_FACES) if base is None else np.log(base.probs)
 
     def saddle(s):
@@ -72,28 +71,27 @@ def fair_posterior(n: int, a: Average, throw: str,
         return math.log(n) - np.logaddexp.reduce(log_m + lam * _OFFSETS) + lam * _OFFSETS
 
     c = np.arange(n + 1)[:, None]
-    return _closed_form(n, a, c * log_m - gammaln(c + 1.0), saddle, OLD)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)[:, None]
+    return _closed_form(n, a, c * log_m - log_factorial, saddle, OLD)
 
 
 def _johnson_saddle(n: int, s: int, alpha: np.ndarray) -> np.ndarray:
     """ln z_v = t0 + t1 (v - 1) at which the negative binomial faces
     (alpha_v)_c z^c / c!, of mean alpha_v / (1/z_v - 1), hold n counts and
     s - n pip offsets in all (n < s < 6n): t0 given t1, then t1."""
-    from scipy.optimize import brentq
-
     def t0_at(t1):
         # all faces together hold under n at the lower end, the top face alone 2n at the upper
         top, a_top = (5.0 * t1, alpha[-1]) if t1 > 0 else (0.0, alpha[0])
-        return brentq(lambda t0: alpha @ (1.0 / np.expm1(-t0 - t1 * _OFFSETS)) - n,
-                      math.log(n / (2.0 * alpha.sum() + n)) - top,
-                      math.log(2.0 * n / (a_top + 2.0 * n)) - top, xtol=1e-9)
+        return _brentq(lambda t0: alpha @ (1.0 / np.expm1(-t0 - t1 * _OFFSETS)) - n,
+                       math.log(n / (2.0 * alpha.sum() + n)) - top,
+                       math.log(2.0 * n / (a_top + 2.0 * n)) - top, xtol=1e-9)
 
     def offset(t1):
         return (alpha * _OFFSETS) @ (1.0 / np.expm1(-t0_at(t1) - t1 * _OFFSETS)) - (s - n)
 
     # at |t1| = b all faces but the extreme one hold under one pip offset
     b = math.log1p(6.0 * alpha.sum()) + 2.0
-    t1 = brentq(offset, -b, b, xtol=1e-9)
+    t1 = _brentq(offset, -b, b, xtol=1e-9)
     return t0_at(t1) + t1 * _OFFSETS
 
 

@@ -31,9 +31,53 @@ class MaxentSolution:
     lam: Optional[float]   # the family's multiplier; None at a vertex
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = 4 * 2.0 ** -52,
+            maxiter: int = 100) -> float:
+    """The root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4), step for step
+    as scipy.optimize.brentq takes it, so the same double. ValueError where f has
+    one sign at both ends or is nan, RuntimeError after maxiter steps."""
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is nan")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False           # else bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"no convergence after {maxiter} steps, value is {xcur}")
+
+
 def _root(fn, lo: float, hi: float) -> float:
-    from scipy.optimize import brentq      # scipy loads on first use; see __init__
-    return brentq(fn, lo, hi, xtol=1e-15, rtol=8.882e-16, maxiter=200)
+    return _brentq(fn, lo, hi, xtol=1e-15, rtol=8.882e-16, maxiter=200)
 
 
 def _solve(a: Average, base: Optional[Distribution], family) -> MaxentSolution:

@@ -8,7 +8,9 @@ independent fair-throw oracles are provided (a dynamic program over throws,
 and a literal loop over all 6^N sequences) to guard against a shared bug. For the large-N
 slices there is an exact B-spline oracle of the Johnson model and a Monte
 Carlo sampler of the triangulated slice for any density; the Monte Carlo
-ratio estimator over the whole simplex is here too.
+ratio estimator over the whole simplex is here too, and so are the Burg
+entropy and the divergence that the maxent optimality certificates compare,
+and the relabelling of faces v -> 7 - v that the symmetry tests use.
 """
 from __future__ import annotations
 
@@ -16,11 +18,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from dicebayes import Average, ContradictoryData, NEW, OLD
+from dicebayes import Average, ContradictoryData, Distribution, NEW, OLD
 from dicebayes.combinatorics import _constrained_counts
 from dicebayes.core import FACE_VALUES, N_FACES
 from dicebayes.simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator,
@@ -417,3 +419,65 @@ def slice_mean_mc(a: Average, log_density, budget: int, seed: int):
     probs, stderr, _ = acc.ratio()
     return probs, stderr
 
+
+# --- entropy certificates and face relabelling ----------------------------
+
+class _Infinite:
+    """Tagged infinity sentinel; deliberately not a float so callers must branch on it."""
+
+    __slots__ = ("_sign",)
+
+    def __init__(self, sign: int):
+        self._sign = sign
+
+    def __repr__(self) -> str:
+        return "NEG_INFINITY" if self._sign < 0 else "POS_INFINITY"
+
+    def __float__(self) -> float:
+        return math.inf if self._sign > 0 else -math.inf
+
+    @property
+    def sign(self) -> int:
+        return self._sign
+
+
+NEG_INFINITY = _Infinite(-1)
+POS_INFINITY = _Infinite(+1)
+
+Entropy = Union[float, _Infinite]
+
+
+def _as_probs(f) -> np.ndarray:
+    return np.asarray(getattr(f, "probs", f), dtype=float)
+
+
+def burg_entropy(f) -> Entropy:
+    """sum_i ln f_i in nats; NEG_INFINITY if any entry vanishes."""
+    p = _as_probs(f)
+    if np.any(p == 0.0):
+        return NEG_INFINITY
+    return float(np.sum(np.log(p)))
+
+
+def kl_divergence(m, f) -> Entropy:
+    """sum m_i ln(m_i / f_i) with 0 ln(0/x) = 0; POS_INFINITY where f_i = 0 < m_i."""
+    mm = _as_probs(m)
+    ff = _as_probs(f)
+    active = mm > 0.0
+    if np.any(ff[active] == 0.0):
+        return POS_INFINITY
+    return float(np.sum(mm[active] * np.log(mm[active] / ff[active])))
+
+
+def reversed_distribution(d: Distribution) -> Distribution:
+    """Relabel faces v -> 7 - v."""
+    return Distribution(d.probs[::-1])
+
+
+def reversed_average(a: Average) -> Average:
+    return Average(7 - a.value)
+
+
+def mean_value(d: Distribution) -> float:
+    """Expected number of pips."""
+    return sum(v * p for v, p in zip(FACE_VALUES, d.probs))

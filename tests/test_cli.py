@@ -1,4 +1,5 @@
 """Command-line interface: formats, exit codes, determinism."""
+import importlib
 import json
 import math
 import os
@@ -439,10 +440,94 @@ class TestParserReuse:
 
 
 class TestImport:
-    def test_import_loads_no_scipy(self):
-        # scipy costs about 0.5 s of imports; the package loads it on first use
-        code = ("import sys, dicebayes, dicebayes.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # scipy costs about 0.5 s of imports and numpy about 0.1 s; a fresh process
+    # loads each only for the question that needs it
+    SUBMODULES = ["combinatorics", "core", "exact_models", "maxent", "multiplicity_model",
+                  "reference", "simplex_integration"]
+    DEFINED_IN = {
+        "core": ["Average", "BudgetExhausted", "ContradictoryData", "DegenerateWeights",
+                 "Distribution", "Exact", "FairThrow", "Johnson", "LargeN", "Multiplicity",
+                 "NEW", "OLD", "PosteriorResult", "Query", "shannon_entropy"],
+        "exact_models": ["fair_posterior", "generalized_johnson_posterior",
+                         "johnson_posterior"],
+        "maxent": ["MaxentSolution", "maxent_burg", "maxent_shannon", "min_kl"],
+        "multiplicity_model": ["generalized_multiplicity_posterior", "johnson_large_n",
+                               "multiplicity_large_n", "multiplicity_posterior"],
+        "reference": ["ReferenceCell", "ReferenceRow", "ReferenceTable",
+                      "load_reference_tables"],
+        "router": ["posterior"],
+        "simplex_integration": ["sample_simplex_uniform"],
+    }
+
+    # the questions that need no scipy: the closed forms (Johnson at N = 300
+    # tilts its faces to the saddle point first), the maxent families, and the
+    # parameter-large limits
+    NO_SCIPY = ["--n 12 --avg 5 --model fair --throw old",
+                "--n 32 --avg 7/2 --model johnson --param 5 --throw old",
+                "--n 300 --avg 5 --model johnson --param 50 --throw old",
+                "--n 300 --avg 5 --model johnson --param 50 --m 1,2,3,4,5,6 --throw new",
+                "--large-n --avg 5 --model maxent-shannon",
+                "--large-n --avg 5 --model maxent-burg",
+                "--large-n --avg 5 --model min-kl --m 1,2,3,4,5,6",
+                "--n 12 --avg 5 --model multiplicity --param large --throw old",
+                "--n 12 --avg 5 --model johnson --param large --m 1,2,3,4,5,6 --throw old",
+                "--large-n --avg 5 --model johnson --param large --n-over-param small "
+                "--throw old",
+                "--large-n --avg 5 --model johnson --param large --n-over-param large "
+                "--throw old",
+                "--large-n --avg 5 --model multiplicity --param large --n-over-param large "
+                "--throw old",
+                "--n 3 --avg 7/2 --model fair --throw old"]     # unrealizable: exit 2
+
+    def test_import_loads_nothing(self):
+        code = ("import sys, dicebayes; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('numpy', 'scipy') or m.startswith('dicebayes.')))")
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_eval_loads_no_scipy(self):
+        # each query in turn in one fresh process: the first that loads scipy is named
+        code = ("import shlex, sys\n"
+                "from dicebayes.cli import main\n"
+                "for line in sys.argv[1:]:\n"
+                "    code = main(['eval', *shlex.split(line), '--format', 'json'])\n"
+                "    print(code, line, any(m.split('.')[0] == 'scipy' for m in sys.modules),"
+                " file=sys.stderr)\n")
+        proc = run_python("-c", code, *self.NO_SCIPY)
+        assert proc.returncode == 0, proc.stderr
+        results = [line.rsplit(" ", 1) for line in proc.stderr.splitlines()]
+        assert [(head, loaded) for head, loaded in results if loaded != "False"] == []
+        assert [head for head, _ in results] == \
+            [f"0 {line}" for line in self.NO_SCIPY[:-1]] + [f"2 {self.NO_SCIPY[-1]}"]
+
+    def test_namespace(self):
+        names = [name for names in self.DEFINED_IN.values() for name in names]
+        assert sorted(dicebayes.__all__) == sorted(names + self.SUBMODULES)
+        assert set(dicebayes.__all__) <= set(dir(dicebayes))
+        for module, defined in self.DEFINED_IN.items():
+            for name in defined:
+                assert getattr(dicebayes, name) is \
+                    getattr(importlib.import_module(f"dicebayes.{module}"), name)
+        for module in self.SUBMODULES:
+            assert getattr(dicebayes, module) is importlib.import_module(f"dicebayes.{module}")
+        with pytest.raises(AttributeError, match="nope"):
+            dicebayes.nope
+        namespace = {}
+        exec("from dicebayes import *", namespace)
+        assert set(dicebayes.__all__) <= set(namespace)
+
+
+class TestMemoryError:
+    def test_exits_3_and_names_the_routes(self, monkeypatch, capsys):
+        # no real allocation: the count listing refuses as numpy does when it cannot
+        def refuse(n, s):
+            raise MemoryError(f"cannot list the face counts of {n} throws")
+
+        monkeypatch.setattr(multiplicity_model, "_constrained_counts", refuse)
+        assert main(["eval", "--n", "300", "--avg", "7/2", "--model", "multiplicity",
+                     "--param", "5", "--throw", "old"]) == 3
+        err = capsys.readouterr().err
+        assert "--large-n" in err and "--param large" in err
+        assert "Traceback" not in err

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from dicebayes import (Average, Distribution, burg_entropy, kl_divergence,
-                       shannon_entropy, NEG_INFINITY, POS_INFINITY)
-from oracle import FrequencyVector
+from dicebayes import Average, Distribution, shannon_entropy
+from oracle import (FrequencyVector, NEG_INFINITY, POS_INFINITY, burg_entropy,
+                    kl_divergence, mean_value, reversed_average, reversed_distribution)
 
 
 class TestDistribution:
@@ -36,12 +36,12 @@ class TestDistribution:
         assert d.probs == (0.5, 0.5, 0.0, 0.0, 0.0, 0.0)
 
     def test_vertex_and_mean(self):
-        assert Distribution.vertex(4).mean_value() == 4.0
-        assert Distribution.uniform().mean_value() == pytest.approx(3.5)
+        assert mean_value(Distribution.vertex(4)) == 4.0
+        assert mean_value(Distribution.uniform()) == pytest.approx(3.5)
 
     def test_reversed(self):
         d = Distribution.from_weights((1, 2, 3, 4, 5, 6))
-        assert d.reversed().probs == d.probs[::-1]
+        assert reversed_distribution(d).probs == d.probs[::-1]
 
 
 class TestAverage:
@@ -57,7 +57,7 @@ class TestAverage:
             Average(Fraction(1, 2))
 
     def test_reversed(self):
-        assert Average.parse("5").reversed().value == Fraction(2)
+        assert reversed_average(Average.parse("5")).value == Fraction(2)
 
 
 class TestFrequencyVector:

@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from dicebayes import (Average, Distribution, burg_entropy, kl_divergence,
-                       maxent_burg, maxent_shannon, min_kl, shannon_entropy)
+from dicebayes import (Average, Distribution, maxent_burg, maxent_shannon, min_kl,
+                       shannon_entropy)
+from dicebayes import exact_models, maxent
+from dicebayes.exact_models import _johnson_saddle
+from dicebayes.maxent import _brentq
+from oracle import (burg_entropy, kl_divergence, mean_value, reversed_average,
+                    reversed_distribution)
 
 FACES = np.arange(1.0, 7.0)
 
@@ -51,7 +57,7 @@ class TestShannon:
     def test_mean_constraint(self):
         for a in (Fraction(3, 2), Fraction(2), Fraction(9, 2), Fraction(11, 2)):
             sol = maxent_shannon(Average(a))
-            assert sol.distribution.mean_value() == pytest.approx(float(a), abs=1e-10)
+            assert mean_value(sol.distribution) == pytest.approx(float(a), abs=1e-10)
 
 
 class TestBurg:
@@ -79,7 +85,7 @@ class TestBurg:
             for a in (Fraction(65, 64), Fraction(3, 2), Fraction(13, 4), Fraction(9, 2),
                       Fraction(23, 4), Fraction(383, 64)):
                 sol = maxent_burg(Average(a), base)
-                assert sol.distribution.mean_value() == pytest.approx(float(a), abs=1e-10)
+                assert mean_value(sol.distribution) == pytest.approx(float(a), abs=1e-10)
                 # f_v = m_v / (1 + lam (v - a))
                 want = m / (1.0 + sol.lam * (FACES - float(a)))
                 assert np.abs(np.asarray(sol.distribution.probs) - want).max() <= 1e-12
@@ -101,7 +107,7 @@ class TestMinKl:
 
     def test_base_with_matching_mean_is_fixed_point(self):
         base = Distribution.from_weights((1, 2, 3, 3, 2, 1))
-        a = Average(Fraction(base.mean_value()).limit_denominator(10**6))
+        a = Average(Fraction(mean_value(base)).limit_denominator(10**6))
         sol = min_kl(Average(Fraction(7, 2)), base)
         # base mean is exactly 7/2 by symmetry, so the projection is the base
         assert float(a) == pytest.approx(3.5)
@@ -169,6 +175,72 @@ class TestReversalSymmetry:
             a = rand_average(pyrng)
             solver = pyrng.choice((maxent_shannon, maxent_burg))
             fwd = solver(a).distribution
-            rev = solver(a.reversed()).distribution.reversed()
+            rev = reversed_distribution(solver(reversed_average(a)).distribution)
             for got, want in zip(fwd, rev):
                 assert got == pytest.approx(want, abs=1e-9)
+
+
+class TestBrentPort:
+    """The in-house Brent root finder returns scipy.optimize.brentq's double."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """Route every root of maxent and of the Johnson saddle through both
+        finders, asserting the same double."""
+        calls = []
+
+        def both(f, xa, xb, **kw):
+            root = _brentq(f, xa, xb, **kw)
+            assert root == brentq(f, xa, xb, **kw), (xa, xb, kw)
+            calls.append(root)
+            return root
+
+        monkeypatch.setattr(maxent, "_brentq", both)
+        monkeypatch.setattr(exact_models, "_brentq", both)
+        return calls
+
+    def test_maxent_roots(self, compared):
+        rng = random.Random(31)
+        for _ in range(150):
+            a = Average(Fraction(rng.randint(101, 599), 100))
+            base = Distribution.from_weights([rng.uniform(0.05, 1.0) for _ in range(6)])
+            maxent_shannon(a)
+            min_kl(a, base)
+            maxent_burg(a)
+            maxent_burg(a, base)
+        assert len(compared) == 600
+
+    def test_johnson_saddle_roots(self, compared):
+        rng = random.Random(32)
+        for _ in range(12):
+            n = rng.randint(100, 1000)
+            s = rng.randint(n + 1, 6 * n - 1)
+            alpha = rng.choice((0.05, 1.0, 50.0)) * np.asarray(
+                Distribution.from_weights([rng.uniform(0.05, 1.0) for _ in range(6)]).probs)
+            _johnson_saddle(n, s, alpha)
+        assert len(compared) > 12 * 10   # t1's root, and t0's at each t1 it tries
+
+    def test_generic_monotone_functions(self):
+        rng = random.Random(33)
+        for _ in range(300):
+            c = rng.uniform(-3.0, 3.0)
+            f = rng.choice((lambda x: x ** 3 - c ** 3, lambda x: math.tanh(x - c),
+                            lambda x: math.expm1(x) - math.expm1(c), lambda x: c - x))
+            lo, hi = c - rng.uniform(0.01, 5.0), c + rng.uniform(0.01, 5.0)
+            xtol = rng.choice((1e-15, 1e-12, 1e-9, 1e-3))
+            maxiter = rng.choice((100, 200))
+            assert _brentq(f, lo, hi, xtol, maxiter=maxiter) == \
+                brentq(f, lo, hi, xtol=xtol, maxiter=maxiter)
+
+    def test_root_at_an_endpoint(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == 1.0
+        assert _brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12) == 2.0
+        assert brentq(lambda x: x - 2.0, 1.0, 2.0) == 2.0
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        with pytest.raises(ValueError, match="nan"):
+            _brentq(lambda x: math.nan if x > 0 else -1.0, -1.0, 1.0, 1e-12)
+        with pytest.raises(RuntimeError, match="after 3 steps"):
+            _brentq(lambda x: x ** 3 - 0.027, 0.0, 10.0, 1e-15, maxiter=3)
