@@ -9,9 +9,11 @@ Fourier inversion, multiplicity on a lattice, each with an error bound) and
 constrained entropy maximization (Shannon, Burg, and minimum divergence from a
 base distribution).
 
-Importing the package loads nothing else: each public name imports its submodule,
-and numpy with it, on first access (PEP 562). scipy loads only inside the
-multiplicity model (gammaln, digamma) and the large-N slices (quad).
+Importing the package loads nothing else: each public name imports its submodule
+on first access (PEP 562). The domain types, the reference tables and the CLI's
+parser need no numpy, so `dicebayes --help` and usage errors load none; numpy
+loads with the first computation. scipy loads only inside the multiplicity model
+(gammaln, digamma) and the large-N slices (quad).
 """
 
 import importlib

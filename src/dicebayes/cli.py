@@ -17,8 +17,6 @@ from typing import List, Optional, Sequence
 from .core import (Average, BudgetExhausted, ContradictoryData, Distribution, Exact,
                    FairThrow, Johnson, LargeN, Multiplicity, Query, PosteriorResult,
                    NEW, OLD, shannon_entropy)
-from .maxent import maxent_burg, maxent_shannon, min_kl
-from .router import _limit, posterior
 from .reference import (ReferenceRow, ReferenceTable, UNIFORM_ANY_A,
                         load_reference_tables)
 
@@ -121,7 +119,16 @@ def _refuse_unread_flags(args):
             raise _UsageError(f"{model} does not read {flag}")
 
 
+@functools.cache
+def _models():
+    """The maxent and router modules, imported once with the first question, so
+    that --help and usage errors load no numpy."""
+    from . import maxent, router
+    return maxent, router
+
+
 def _eval_query(args) -> PosteriorResult:
+    maxent, router = _models()
     param = _parse_param(args.param)
     _refuse_unread_flags(args)
     a = Average.parse(args.avg)
@@ -131,13 +138,13 @@ def _eval_query(args) -> PosteriorResult:
         if base is not None:
             raise _UsageError("--model maxent-shannon takes no --m; the distribution "
                               "of least divergence from a base is --model min-kl")
-        return _limit(maxent_shannon(a).distribution)
+        return router._limit(maxent.maxent_shannon(a).distribution)
     if args.model == "maxent-burg":
-        return _limit(maxent_burg(a, base).distribution)
+        return router._limit(maxent.maxent_burg(a, base).distribution)
     if args.model == "min-kl":
         if base is None:
             raise _UsageError("--model min-kl requires --m")
-        return _limit(min_kl(a, base).distribution)
+        return router._limit(maxent.min_kl(a, base).distribution)
 
     if args.throw is None:
         raise _UsageError(f"--model {args.model} requires --throw")
@@ -157,7 +164,7 @@ def _eval_query(args) -> PosteriorResult:
         regime = LargeN(ratio)
     else:
         regime = Exact(args.n)
-    return posterior(Query(regime, a, args.throw, model))
+    return router.posterior(Query(regime, a, args.throw, model))
 
 
 class _UsageError(Exception):
@@ -181,6 +188,10 @@ def _cmd_eval(args) -> int:
     except ContradictoryData:
         print("undefined (contradictory data)")
         return EXIT_CONTRADICTORY
+    except MemoryError:
+        raise _UsageError("this question needs more memory than the process can get; ask "
+                          "for the many-throw limit (--large-n) or the parameter-large "
+                          "limit (--param large)") from None
     if args.format == "json":
         print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
     elif args.format == "csv":
@@ -216,8 +227,6 @@ class ComputedRow:
     new: ComputedCell
 
 
-_UNIFORM_CELL = ComputedCell(_limit(Distribution.uniform()), UNIFORM_ANY_A, True)
-
 # Row parameters that mark both N and the model parameter large, and whether
 # N / parameter is large
 _RATIO_LARGE = {"large-ratio-small": False, "large-ratio-large": True}
@@ -231,9 +240,10 @@ def _row_model(model: str, param: Optional[str]):
 
 
 def _compute_row(ref: ReferenceTable, row: ReferenceRow) -> ComputedRow:
+    maxent, router = _models()
     model, param = row.model, row.param
     if model == "me":
-        cell = ComputedCell(_limit(maxent_shannon(ref.average).distribution))
+        cell = ComputedCell(router._limit(maxent.maxent_shannon(ref.average).distribution))
         return ComputedRow(model, param, cell, cell)
     if model == "all-exchangeable":
         return ComputedRow(model, param, ComputedCell(None), ComputedCell(None))
@@ -243,14 +253,15 @@ def _compute_row(ref: ReferenceTable, row: ReferenceRow) -> ComputedRow:
     cells = []
     for throw, ref_cell in ((OLD, row.old), (NEW, row.new)):
         if ref_cell.uniform_any_a:
-            cells.append(_UNIFORM_CELL)
+            cells.append(ComputedCell(router._limit(Distribution.uniform()), UNIFORM_ANY_A,
+                                      True))
             continue
         if cells and ref.is_large_n:
             # at large N an old and a new throw have the same posterior
             result = cells[0].result
         else:
             try:
-                result = posterior(Query(regime, ref.average, throw, spec))
+                result = router.posterior(Query(regime, ref.average, throw, spec))
             except ContradictoryData:
                 result = None
         cells.append(ComputedCell(result, ref_cell.annotation))
@@ -543,11 +554,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError:
-        print("error: this query needs more memory than the process can get; ask for "
-              "the many-throw limit (--large-n) or the parameter-large limit "
-              "(--param large)", file=sys.stderr)
         return EXIT_USAGE
 
 

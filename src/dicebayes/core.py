@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 FACE_VALUES = (1, 2, 3, 4, 5, 6)
 N_FACES = 6
 NORMALIZATION_TOL = 1e-12
@@ -224,6 +222,7 @@ class PosteriorResult:
 
 def shannon_entropy(f) -> float:
     """-sum f_i ln f_i in nats, with the 0 ln 0 = 0 convention."""
+    import numpy as np      # the first result loads numpy; the types above need none
     p = np.asarray(getattr(f, "probs", f), dtype=float)
     nz = p > 0.0
     # a vertex sums to -0.0, and -0.0 + 0.0 is 0.0

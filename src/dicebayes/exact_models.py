@@ -70,9 +70,26 @@ def fair_posterior(n: int, a: Average, throw: str,
         lam = (maxent_shannon(a) if base is None else min_kl(a, base)).lam
         return math.log(n) - np.logaddexp.reduce(log_m + lam * _OFFSETS) + lam * _OFFSETS
 
-    c = np.arange(n + 1)[:, None]
-    log_factorial = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)[:, None]
-    return _closed_form(n, a, c * log_m - log_factorial, saddle, OLD)
+    table = -_log_factorials(n)[:, None]
+    # without a base every face reads the same column, so none is copied
+    table = (np.broadcast_to(table, (n + 1, N_FACES)) if base is None
+             else np.arange(n + 1)[:, None] * log_m + table)
+    return _closed_form(n, a, table, saddle, OLD)
+
+
+# ln c! below 1024 from math.lgamma; above, Stirling's series in x = c + 1, of
+# which the first term left out, x^-5 / 1260, is below 1e-18
+_LOG_FACTORIALS = np.array([math.lgamma(c + 1.0) for c in range(1024)])
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln c! for c = 0..n, within 3 units in the last place of scipy's gammaln(c + 1)."""
+    if n < _LOG_FACTORIALS.size:
+        return _LOG_FACTORIALS[:n + 1]
+    x = np.arange(_LOG_FACTORIALS.size + 1.0, n + 2.0)
+    stirling = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2 * math.pi)
+                + (1 / 12 - 1 / (360 * x * x)) / x)
+    return np.concatenate([_LOG_FACTORIALS, stirling])
 
 
 def _johnson_saddle(n: int, s: int, alpha: np.ndarray) -> np.ndarray:

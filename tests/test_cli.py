@@ -1,4 +1,5 @@
 """Command-line interface: formats, exit codes, determinism."""
+import ast
 import importlib
 import json
 import math
@@ -444,20 +445,17 @@ class TestImport:
     # loads each only for the question that needs it
     SUBMODULES = ["combinatorics", "core", "exact_models", "maxent", "multiplicity_model",
                   "reference", "simplex_integration"]
-    DEFINED_IN = {
-        "core": ["Average", "BudgetExhausted", "ContradictoryData", "DegenerateWeights",
-                 "Distribution", "Exact", "FairThrow", "Johnson", "LargeN", "Multiplicity",
-                 "NEW", "OLD", "PosteriorResult", "Query", "shannon_entropy"],
-        "exact_models": ["fair_posterior", "generalized_johnson_posterior",
-                         "johnson_posterior"],
-        "maxent": ["MaxentSolution", "maxent_burg", "maxent_shannon", "min_kl"],
-        "multiplicity_model": ["generalized_multiplicity_posterior", "johnson_large_n",
-                               "multiplicity_large_n", "multiplicity_posterior"],
-        "reference": ["ReferenceCell", "ReferenceRow", "ReferenceTable",
-                      "load_reference_tables"],
-        "router": ["posterior"],
-        "simplex_integration": ["sample_simplex_uniform"],
-    }
+    EXPORTS = ["Average", "BudgetExhausted", "ContradictoryData", "DegenerateWeights",
+               "Distribution", "Exact", "FairThrow", "Johnson", "LargeN", "MaxentSolution",
+               "Multiplicity", "NEW", "OLD", "PosteriorResult", "Query", "ReferenceCell",
+               "ReferenceRow", "ReferenceTable", "fair_posterior",
+               "generalized_johnson_posterior", "generalized_multiplicity_posterior",
+               "johnson_large_n", "johnson_posterior", "load_reference_tables",
+               "maxent_burg", "maxent_shannon", "min_kl", "multiplicity_large_n",
+               "multiplicity_posterior", "posterior", "sample_simplex_uniform",
+               "shannon_entropy"]
+    LOADED = ("print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('numpy', 'scipy') or m.startswith('dicebayes.')))")
 
     # the questions that need no scipy: the closed forms (Johnson at N = 300
     # tilts its faces to the saddle point first), the maxent families, and the
@@ -480,12 +478,24 @@ class TestImport:
                 "--n 3 --avg 7/2 --model fair --throw old"]     # unrealizable: exit 2
 
     def test_import_loads_nothing(self):
-        code = ("import sys, dicebayes; "
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('numpy', 'scipy') or m.startswith('dicebayes.')))")
-        proc = run_python("-c", code)
+        proc = run_python("-c", f"import sys, dicebayes; {self.LOADED}")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("code, printed", [
+        ("from dicebayes.cli import main; print(main(['--help']))", "0"),
+        ("from dicebayes.cli import main; print(main(['eval', '--avg', '5', '--model', 'fair']))",
+         "3"),
+        ("from dicebayes import load_reference_tables; print(len(load_reference_tables()))",
+         "15"),
+    ])
+    def test_help_usage_errors_and_tables_load_no_numpy(self, code, printed):
+        # the types, the parser and the tables need no numpy; only a computation does
+        proc = run_python("-c", f"import sys; {code}; {self.LOADED}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-2] == printed
+        assert set(ast.literal_eval(proc.stdout.strip().splitlines()[-1])) <= \
+            {"dicebayes.cli", "dicebayes.core", "dicebayes.reference"}
 
     def test_eval_loads_no_scipy(self):
         # each query in turn in one fresh process: the first that loads scipy is named
@@ -503,13 +513,11 @@ class TestImport:
             [f"0 {line}" for line in self.NO_SCIPY[:-1]] + [f"2 {self.NO_SCIPY[-1]}"]
 
     def test_namespace(self):
-        names = [name for names in self.DEFINED_IN.values() for name in names]
-        assert sorted(dicebayes.__all__) == sorted(names + self.SUBMODULES)
+        assert sorted(dicebayes.__all__) == sorted(self.EXPORTS + self.SUBMODULES)
         assert set(dicebayes.__all__) <= set(dir(dicebayes))
-        for module, defined in self.DEFINED_IN.items():
-            for name in defined:
-                assert getattr(dicebayes, name) is \
-                    getattr(importlib.import_module(f"dicebayes.{module}"), name)
+        for name in self.EXPORTS:
+            module = importlib.import_module(f"dicebayes.{dicebayes._EXPORTS[name]}")
+            assert getattr(dicebayes, name) is vars(module)[name]
         for module in self.SUBMODULES:
             assert getattr(dicebayes, module) is importlib.import_module(f"dicebayes.{module}")
         with pytest.raises(AttributeError, match="nope"):

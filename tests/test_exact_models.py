@@ -13,6 +13,7 @@ from scipy.special import gammaln
 from dicebayes import (Average, ContradictoryData, Distribution, NEW, OLD,
                        fair_posterior, generalized_johnson_posterior, johnson_large_n,
                        johnson_posterior, maxent_shannon)
+from dicebayes import exact_models
 from dicebayes.cli import main
 from oracle import (brute_force_fair, brute_force_fair_literal, count_sequences,
                     enumerated_posterior, exact_johnson, reversed_average,
@@ -72,18 +73,30 @@ class TestFairPosterior:
                 assert fair_posterior(n, a, NEW, base).distribution == base
 
     def test_log_factorials_agree_with_scipy_gammaln(self, monkeypatch):
-        # ln c! comes from math.lgamma; the posterior barely moves with
-        # scipy's gammaln in its place, up to N = 1000 with and without a base
+        # ln c! comes from math.lgamma below 1024 and from Stirling's series above;
+        # the posterior barely moves with scipy's gammaln in its place, up to
+        # N = 1000 anywhere and up to N = 10^6 at the averages near a face that
+        # the closed form answers there, with and without a base
+        def gammaln_table(n):
+            return gammaln(np.arange(n + 1) + 1.0)
+
+        for n in (0, 1023, 1024, 10 ** 6):
+            want = gammaln_table(n)
+            assert np.all(np.abs(exact_models._log_factorials(n) - want)
+                          <= 3 * np.spacing(np.maximum(want, 1.0)))
         rng = random.Random(41)
         cases = [(1000, Fraction(7, 2)), (1000, Fraction(5)), (997, Fraction(1002, 997))]
         for _ in range(30):
             n = round(math.exp(rng.uniform(0.0, math.log(1000))))
             cases.append((n, Fraction(rng.randint(n, 6 * n), n)))
+        for n in (1500, 20000, 10 ** 6):
+            for k in (1, 10, 150):
+                cases += [(n, Fraction(n + k, n)), (n, Fraction(6 * n - k, n))]
         queries = [(n, Average(a), base) for n, a in cases
                    for base in (None, Distribution.from_weights(
                        [rng.uniform(0.05, 1.0) for _ in range(6)]))]
         got = [fair_posterior(n, a, OLD, base).distribution.probs for n, a, base in queries]
-        monkeypatch.setattr(math, "lgamma", lambda x: float(gammaln(x)))
+        monkeypatch.setattr(exact_models, "_log_factorials", gammaln_table)
         want = [fair_posterior(n, a, OLD, base).distribution.probs for n, a, base in queries]
         assert np.abs(np.subtract(got, want)).max() <= 1e-14
 
