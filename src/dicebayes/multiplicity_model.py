@@ -17,12 +17,17 @@ partition; with one, once per count vector. Each face is tilted by
 exp(L psi(L/6 + 1) p), which centres it near p = m_v (the tilts multiply to
 a constant on the simplex), scaled by its maximum and trimmed to the entries
 whose exp does not underflow, so large L neither overflows nor costs more.
-The error falls as M^-2: the result is the Richardson extrapolation of M and
-2M, their difference / 3 its error bound, and M doubles from a size set by
-L / min m until that bound is within 1e-5. A lattice is kept across queries,
-one per (L, M, base), so queries at the same L reuse its face sequences and
-partial convolutions; past 16 MB of those the kept lattices are dropped at the
-end of a query. A kept lattice returns the numbers a new one would, bit for bit.
+The error is a series in M^-2; the Richardson extrapolate R(M) = P(M) +
+(P(M) - P(M/2)) / 3 removes its first term, so R's error falls as M^-4. The
+result is R on the finest of three grids g, 2g and 4g, and its bound is
+|R(4g) - R(2g)|, a second Richardson level about 15 times R(4g)'s error, plus
+a roundoff floor of 1e-10. g puts 2 points in the narrowest per-face peak,
+(L / min m)^(-1/2) wide, and is at least 64; the grids double until the bound
+is within 1e-5. A query builds its keys and multinomials once, for all its
+grids. A lattice is kept across queries, one per (L, M, base), so queries at
+the same L reuse its face sequences and partial convolutions; past 16 MB of
+those the kept lattices are dropped at the end of a query. A kept lattice
+returns the numbers a new one would, bit for bit.
 
 Monte Carlo (method="mc", the default of the model functions) is the
 reference the lattice is checked against. It samples the simplex uniformly
@@ -179,11 +184,15 @@ def _multiplicity_log_density(points: np.ndarray, scale: float,
 
 # --- finite-N lattice -------------------------------------------------------
 
-# Richardson target of the lattice, absolute probability per face (0.001 pp).
+# Error target of the lattice, absolute probability per face (0.001 pp).
 _LATTICE_TOL = 1e-5
-# Grid sizes: the first grid resolves the narrowest per-face peak, (L / m_v)^(-1/2)
-# wide, with at least 8 points; the doubling stops at _MAX_GRID.
-_MIN_GRID = 500
+# Roundoff floor of the lattice bound, per face: where the second Richardson
+# level reads 0 or a few 1e-12, the answer can still be off by about 2e-11.
+_LATTICE_FLOOR = 1e-10
+# Grid sizes: the first grid puts 2 points in the narrowest per-face peak,
+# (L / m_v)^(-1/2) wide, with at least _MIN_GRID points; the doubling stops at
+# _MAX_GRID.
+_MIN_GRID = 64
 _MAX_GRID = 2 ** 20
 # Below this a log value's exp underflows out of the normal doubles.
 _LOG_TINY = math.log(np.finfo(float).tiny)
@@ -214,9 +223,11 @@ class _Lattice:
     from cached prefixes. Without a base the faces are exchangeable: all six
     share one sequence, and I(k) depends only on the sorted counts.
 
-    Lattices are shared across queries through _lattice, by (L, M, base), so
-    the prefixes of every earlier query stay cached; `nbytes` counts their
-    bytes, and past _LATTICE_CACHE_BYTES (16 MB) they are dropped.
+    A query asks one lattice per grid, g, 2g, 4g and on while it refines, for
+    the integrals of its distinct keys (see _LatticeSum). Lattices are shared
+    across queries through _lattice, by (L, M, base), so the prefixes of every
+    earlier query stay cached; `nbytes` counts their bytes, and past
+    _LATTICE_CACHE_BYTES (16 MB) they are dropped.
     """
 
     def __init__(self, scale: float, grid: int, base: Optional[Distribution] = None):
@@ -292,45 +303,66 @@ def _lattice(scale: float, grid: int, base: Optional[Distribution]) -> _Lattice:
     return _LATTICE_CACHE[key]
 
 
-def _lattice_probs(counts: np.ndarray, n: int, throw: str, lattice: _Lattice) -> np.ndarray:
-    """Posterior on one grid: a sum over the count vectors n of
-    multinomial(n) I(n) n_i / N (old throw) or multinomial(n) I(n + e_i) (new)."""
-    from scipy.special import gammaln
-    log_mult = -gammaln(counts + 1.0).sum(axis=1)      # ln N! is common to all
-    keys = counts if throw == OLD else counts[:, None, :] + np.eye(N_FACES, dtype=counts.dtype)
-    keys = keys.reshape(-1, N_FACES)
-    if lattice.symmetric:
-        keys = -np.sort(-keys, axis=1)
-    # one integer per key, in base n + 2 since no count exceeds n + 1
-    codes = keys @ (n + 2) ** np.arange(N_FACES, dtype=np.int64)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    log_i = np.array([lattice.log_integral(tuple(key)) for key in keys[first].tolist()])
-    log_w = log_i[inverse].reshape(counts.shape[0], -1) + log_mult[:, None]
-    w = np.exp(log_w - log_w.max())
-    probs = (w[:, 0] @ counts) / n if throw == OLD else w.sum(axis=0)
-    return probs / probs.sum()
+class _LatticeSum:
+    """The sum over the count vectors n of one query, prepared once for all its
+    grids: multinomial(n) I(n) n_i / N (old throw) or multinomial(n) I(n + e_i)
+    (new). The keys of I (sorted for a symmetric lattice), their distinct
+    values and the log multinomials do not depend on the grid."""
+
+    def __init__(self, counts: np.ndarray, n: int, throw: str, symmetric: bool):
+        from scipy.special import gammaln
+        self.counts, self.n, self.throw = counts, n, throw
+        self.log_mult = -gammaln(counts + 1.0).sum(axis=1)     # ln N! is common to all
+        keys = counts if throw == OLD else counts[:, None, :] + np.eye(N_FACES, dtype=counts.dtype)
+        keys = keys.reshape(-1, N_FACES)
+        if symmetric:
+            keys = -np.sort(-keys, axis=1)
+        # one integer per key, in base n + 2 since no count exceeds n + 1
+        codes = keys @ (n + 2) ** np.arange(N_FACES, dtype=np.int64)
+        _, first, self.inverse = np.unique(codes, return_index=True, return_inverse=True)
+        self.keys = [tuple(key) for key in keys[first].tolist()]
+
+    def probs(self, lattice: _Lattice) -> np.ndarray:
+        """The posterior on one grid."""
+        log_i = np.array([lattice.log_integral(key) for key in self.keys])
+        log_w = log_i[self.inverse].reshape(self.counts.shape[0], -1) + self.log_mult[:, None]
+        w = np.exp(log_w - log_w.max())
+        probs = (w[:, 0] @ self.counts) / self.n if self.throw == OLD else w.sum(axis=0)
+        return probs / probs.sum()
 
 
-def _richardson(probs_at, grid: int, tol: float, max_grid: int, terms: int = 1):
+def _richardson(probs_at, grid: int, tol: float, max_grid: int, romberg: bool = False):
     """Richardson extrapolation of a lattice posterior whose error falls as M^-2.
 
-    P(2M) + (P(2M) - P(M)) / 3 removes the leading term and |P(2M) - P(M)| / 3
-    bounds what is left; the bound is `terms` times that. M doubles from
-    `grid` until the bound is within `tol` on every face, or the next grid
-    would pass `max_grid` (warns BudgetExhausted). Returns (probs, bound).
+    R(2M) = P(2M) + (P(2M) - P(M)) / 3 removes the leading term. Its bound is
+    2 |P(2M) - P(M)| / 3 (the slice lattice). With `romberg` (the finite
+    lattice, where R's error falls as M^-4) it is |R(2M) - R(M)|, a second
+    Richardson level about 15 times R(2M)'s error, plus _LATTICE_FLOOR, and
+    the first bound needs three grids. M doubles from `grid` until the bound
+    is within `tol` on every face, or the next grid would pass `max_grid`
+    (warns BudgetExhausted). Returns (R, bound).
     """
-    coarse = probs_at(grid)
+    coarse, previous = probs_at(grid), None
     while True:
         grid *= 2
         fine = probs_at(grid)
-        bound = terms * np.abs(fine - coarse) / 3.0
+        extrapolate = fine + (fine - coarse) / 3.0
+        if not romberg:
+            # where the error falls faster than M^-2 (weights that vanish at the
+            # faces) R overshoots by up to |P(2M) - P(M)| / 3, so the bound counts
+            # that term twice: the correction itself, and P(2M)'s own error
+            bound = 2 * np.abs(fine - coarse) / 3.0
+        elif previous is not None:
+            bound = np.abs(extrapolate - previous) + _LATTICE_FLOOR
+        else:
+            bound = np.full(N_FACES, math.inf)      # one extrapolate: refine once more
         if bound.max() <= tol or 2 * grid > max_grid:
             break
-        coarse = fine
+        coarse, previous = fine, extrapolate
     if bound.max() > tol:
         warnings.warn(f"lattice stopped at {grid} points per face with Richardson "
                       f"error bound {bound.max():.2e}", BudgetExhausted)
-    return np.maximum(fine + (fine - coarse) / 3.0, 0.0), bound
+    return np.maximum(extrapolate, 0.0), bound
 
 
 # Below this Kish effective sample size the Monte Carlo ratio and its stderr
@@ -360,17 +392,16 @@ def _finite_posterior(n: int, a: Average, scale: float,
     if method == "deterministic":
         # the first grid resolves the narrowest per-face peak, (L / m_v)^(-1/2) wide
         spread = N_FACES * scale if base is None else scale / min(base.probs)
-        grid = max(_MIN_GRID, 1 << math.ceil(math.log2(8.0 * math.sqrt(spread))))
-        if 2 * grid > _MAX_GRID:
+        grid = max(_MIN_GRID, 1 << math.ceil(math.log2(2.0 * math.sqrt(spread))))
+        if 4 * grid > _MAX_GRID:
             with_base = "" if base is None else " with this base"
             raise ValueError(f"multiplicity scale {scale:g}{with_base} needs a lattice finer "
                              f"than {_MAX_GRID} points per face; ask for the parameter-large "
                              f"limit instead (--param large)")
-        counts = _constrained_counts(n, s)
+        lattice_sum = _LatticeSum(_constrained_counts(n, s), n, throw, base is None)
         try:
-            probs, bound = _richardson(
-                lambda m: _lattice_probs(counts, n, throw, _lattice(scale, m, base)),
-                grid, _LATTICE_TOL, _MAX_GRID)
+            probs, bound = _richardson(lambda m: lattice_sum.probs(_lattice(scale, m, base)),
+                                       grid, _LATTICE_TOL, _MAX_GRID, romberg=True)
         finally:
             if sum(lat.nbytes for lat in _LATTICE_CACHE.values()) > _LATTICE_CACHE_BYTES:
                 _LATTICE_CACHE.clear()
@@ -560,11 +591,8 @@ def _slice_lattice(a: Average, log_weight, width: float):
                          f"per face (a multiple of the average's denominator that resolves "
                          f"the weights), more than {_MAX_SLICE_GRID}; for a large model "
                          f"parameter ask for its limit (--param large --n-over-param large)")
-    # Where the error falls faster than M^-2 (weights that vanish at the faces)
-    # the extrapolation overshoots by up to |P(2M) - P(M)| / 3, so the bound
-    # counts that term twice: the correction itself, and P(2M)'s own error.
     return _richardson(lambda m: _slice_probs(a, log_weight, m), grid,
-                       _SLICE_TOL, _MAX_SLICE_GRID, terms=2)
+                       _SLICE_TOL, _MAX_SLICE_GRID)
 
 
 def _slice_result(probs: np.ndarray, bound: np.ndarray) -> PosteriorResult:

@@ -24,7 +24,7 @@ from dicebayes.cli import main
 from dicebayes.combinatorics import _constrained_counts
 from dicebayes import multiplicity_model
 from dicebayes.multiplicity_model import (_LATTICE_TOL, _ROW_BLOCK, _SLICE_TOL, _Lattice,
-                                          _finite_kernel, _lattice_probs, _slice_lattice)
+                                          _LatticeSum, _finite_kernel, _slice_lattice)
 from dicebayes.simplex_integration import make_rng, sample_simplex_uniform
 from oracle import (bspline_slice_mean, mean_value, reversed_average, reversed_distribution,
                     slice_mean_mc)
@@ -148,6 +148,9 @@ TABLE_DATA = [(n, a) for n in (1, 2, 6, 12) for a in ("6", "5", "7/2")
               if (n, a) != (1, "7/2")]
 
 
+BASE = Distribution.from_weights((1, 2, 3, 4, 5, 6))
+
+
 def lattice(n, a, scale, throw):
     return multiplicity_posterior(n, Average.parse(a), scale, throw, method="deterministic")
 
@@ -171,11 +174,54 @@ class TestLattice:
     def test_error_falls_as_grid_squared(self):
         counts = _constrained_counts(6, 30)
         for throw in (OLD, NEW):
-            p = [_lattice_probs(counts, 6, throw, _Lattice(1.0, grid))
-                 for grid in (500, 1000, 2000)]
+            lattice_sum = _LatticeSum(counts, 6, throw, True)
+            p = [lattice_sum.probs(_Lattice(1.0, grid)) for grid in (500, 1000, 2000)]
             first, second = p[0] - p[1], p[1] - p[2]
             face = np.argmax(np.abs(second))
             assert 3 <= first[face] / second[face] <= 5
+
+    def test_extrapolate_error_falls_as_grid_to_the_fourth(self):
+        # the Richardson extrapolate removes the M^-2 term; what is left falls
+        # as M^-4, which the second level of the bound rests on
+        counts = _constrained_counts(6, 30)
+        for throw in (OLD, NEW):
+            lattice_sum = _LatticeSum(counts, 6, throw, True)
+            p = [lattice_sum.probs(_Lattice(1.0, grid)) for grid in (64, 128, 256, 512)]
+            r = [fine + (fine - coarse) / 3.0 for coarse, fine in zip(p, p[1:])]
+            first, second = r[0] - r[1], r[1] - r[2]
+            face = np.argmax(np.abs(second))
+            assert 12 <= first[face] / second[face] <= 20
+
+    @pytest.mark.parametrize("base, scale, n, a, throw", [
+        (None, 1.0, 12, "5", NEW), (BASE, 1.0, 12, "5", OLD), (BASE, 1.0, 10, "23/10", OLD),
+        (None, 50.0, 6, "7/2", NEW), (None, 50.0, 10, "23/10", OLD), (BASE, 50.0, 2, "5", NEW),
+        (BASE, 50.0, 6, "5", OLD), (None, 1e3, 2, "5", OLD), (BASE, 1e3, 2, "5", OLD),
+        (None, 1e6, 2, "5", NEW), (None, 1e6, 1, "5", OLD)])
+    def test_error_bound_holds_against_a_finer_lattice(self, base, scale, n, a, throw,
+                                                       monkeypatch):
+        avg = Average.parse(a)
+
+        def answer():
+            if base is None:
+                return multiplicity_posterior(n, avg, scale, throw, method="deterministic")
+            return generalized_multiplicity_posterior(n, avg, scale, base, throw,
+                                                      method="deterministic")
+
+        grids = []
+        real = multiplicity_model._lattice
+        monkeypatch.setattr(multiplicity_model, "_lattice",
+                            lambda scale, grid, base: grids.append(grid) or real(scale, grid, base))
+        res = answer()
+        # the reference: three grids from 16 times the first
+        first = grids[0]
+        grids.clear()
+        monkeypatch.setattr(multiplicity_model, "_MIN_GRID", 16 * first)
+        monkeypatch.setattr(multiplicity_model, "_LATTICE_TOL", 1.0)
+        finer = answer()
+        assert grids == [16 * first, 32 * first, 64 * first]
+        assert np.all(np.abs(np.asarray(res.distribution.probs)
+                             - np.asarray(finer.distribution.probs))
+                      <= np.asarray(res.error_bound))
 
     @pytest.mark.parametrize("scale, faces_4_to_6", [
         (1.0, [25.195, 49.609, 25.195]),        # the misprinted n2-a5 cell
@@ -198,9 +244,6 @@ class TestLattice:
                      "--param", "1e12", "--throw", "old"]) == 3
         assert time.perf_counter() - start < 1.0
         assert "--param large" in capsys.readouterr().err
-
-
-BASE = Distribution.from_weights((1, 2, 3, 4, 5, 6))
 
 
 class TestBaseLattice:
@@ -257,7 +300,7 @@ class TestLatticeCache:
                  for scale in (1.0, 5.0, 50.0) for throw in (OLD, NEW)]
         cache.clear()
         warm = [lattice(*cell) for cell in cells]
-        assert len(cache) == 6              # three L, each on grids 500 and 1000
+        assert len(cache) == 9              # three L, each on grids 64, 128 and 256
         for cell, res in zip(cells, warm):
             cache.clear()
             cold = lattice(*cell)
@@ -287,7 +330,7 @@ class TestLatticeCache:
     def test_cap_holds_when_the_query_raises(self, monkeypatch):
         monkeypatch.setattr(multiplicity_model, "_LATTICE_CACHE_BYTES", 8)
         monkeypatch.setattr(multiplicity_model, "_LATTICE_TOL", 0.0)
-        monkeypatch.setattr(multiplicity_model, "_MAX_GRID", 1000)   # stop at 500 and 1000
+        monkeypatch.setattr(multiplicity_model, "_MAX_GRID", 1000)   # stop at 64 ... 512
         with warnings.catch_warnings():
             warnings.simplefilter("error", BudgetExhausted)
             with pytest.raises(BudgetExhausted):
