@@ -207,12 +207,12 @@ class TestLattice:
             return generalized_multiplicity_posterior(n, avg, scale, base, throw,
                                                       method="deterministic")
 
-        grids = []
+        grids = []                          # the grids each answer asks for
         real = multiplicity_model._lattice
         monkeypatch.setattr(multiplicity_model, "_lattice",
-                            lambda scale, grid, base: grids.append(grid) or real(scale, grid, base))
+                            lambda *key: grids.append(key[1]) or real(*key))
         res = answer()
-        # the reference: three grids from 16 times the first
+        # the reference: three grids from 16 times the first, stopped at its first bound
         first = grids[0]
         grids.clear()
         monkeypatch.setattr(multiplicity_model, "_MIN_GRID", 16 * first)
