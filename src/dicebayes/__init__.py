@@ -13,7 +13,7 @@ Importing the package loads nothing else: each public name imports its submodule
 on first access (PEP 562). The domain types, the reference tables and the CLI's
 parser need no numpy, so `dicebayes --help` and usage errors load none; numpy
 loads with the first computation. scipy loads only inside the multiplicity model
-(gammaln, digamma) and the large-N slices (quad).
+and its large-N slice (gammaln, digamma).
 """
 
 import importlib

@@ -49,8 +49,9 @@ cached beside it, shared by the old and new throw.
 In the large-N regime old and new throws have the same posterior: the mean
 over the slice sum_v v f_v = a of the simplex, weighted by the model's
 density, with a per-face error bound. The Johnson slice is a ratio of
-saddle-tilted Fourier integrals (quad's error estimates bound it); the
-multiplicity slice is a Richardson-extrapolated lattice sum, as at finite N.
+saddle-tilted Fourier integrals, all six on the nodes of one exp-sinh rule
+(the change of its last step halving bounds it); the multiplicity slice is a
+Richardson-extrapolated lattice sum, as at finite N.
 """
 from __future__ import annotations
 
@@ -453,6 +454,27 @@ _MAX_SLICE_GRID = 1024
 _PAIR_BLOCK = 1 << 18
 
 
+# Exp-sinh rule of the Fourier slice (Takahasi & Mori 1974): nodes x = x_lo + k h,
+# t = exp(pi/2 sinh x). The step halves from _DE_STEP, reusing the nodes, until
+# every face changes by at most _DE_TOL of the numerators' sum, or down to
+# _DE_MIN_STEP. The nodes run from ln t = _DE_LOG_CUT to where the rest of the
+# slowest tail is below e^_DE_LOG_CUT, but at most to x = _DE_X_MAX (ln t =
+# 1.8e17, 5 600 nodes at the finest step): a tail slower than that is left out
+# and counted in the bound. _DE_FLOOR, absolute per face, is the roundoff.
+_DE_STEP = 0.125
+_DE_MIN_STEP = 2.0 ** -7
+_DE_TOL = 1e-13
+_DE_LOG_CUT = -40.0
+_DE_X_MAX = 40.0
+_DE_FLOOR = 1e-15
+# Up to |t c_v| = _DE_SERIES on every face, arg phi is the sum of alpha_v
+# (arctan x - x) at x = t c_v, from the series x^3 (-1/3 + x^2/5 - ...) with these
+# coefficients, highest first: the terms linear in t, whose sum is 0 at the
+# saddle, are left out, where with a large alpha they would cancel to noise.
+_DE_SERIES = 0.25
+_ATAN_SERIES = [(-1) ** k / (2 * k + 1) for k in range(13, 0, -1)]
+
+
 def _vertex(face: int) -> PosteriorResult:
     return PosteriorResult.from_distribution(Distribution.vertex(face), ANALYTIC_LIMIT)
 
@@ -469,29 +491,95 @@ def _johnson_fourier(a: float, alpha: np.ndarray):
     c_v / (1 + theta c_v), N_i gains the factor 1 / (1 + theta c_i), and t is
     scaled by the tilted standard deviation. Without the tilt the terms cancel
     and the sum is ruined.
-    Returns (probs, per-face error bound from quad's error estimates).
+
+    The six integrals share the nodes of one exp-sinh rule, and phi is taken
+    once per node, in log space and from real functions: ln|phi| = -1/2
+    sum alpha_v ln(1 + (t c_v)^2) and arg phi = sum alpha_v arctan(t c_v), so
+    neither t nor phi overflows and a large alpha loses no digits to complex
+    rounding. Past |t c_i| = 1 the quarter turn of arctan(t c_i) and the ln t
+    of |t / (1 - i t c_i)| are taken out exactly, so that a slow tail keeps its
+    digits. Face i's integrand is at most min(1, C_i t^-p_i), p_i the sum of
+    the alpha_v with c_v != 0, plus 1 if c_i != 0, as (1 + x^2)^(-1/2) <= 1/|x|;
+    that sets the last node. At a = v, p_v is only the other faces' sum, which
+    can be just above 1, and the nodes then reach far.
+    Returns (probs, per-face error bound: the change of the last halving, what
+    the two ends leave out, and the roundoff floor).
     """
-    from scipy.integrate import quad
-
     c = np.asarray(FACE_VALUES, dtype=float) - a
-    tilt = 1.0 + burg_tilt(a, alpha) * c
+    total_alpha = float(alpha.sum())
+    weights = alpha / total_alpha          # the tilt and the ratios need only these
+    tilt = 1.0 + burg_tilt(a, weights) * c
     ct = c / tilt
-    ct /= math.sqrt(float(alpha @ ct ** 2))
+    ct /= math.sqrt(total_alpha) * math.sqrt(float(weights @ ct ** 2))
+    live = ct != 0
+    log_c = np.full(N_FACES, -np.inf)
+    log_c[live] = np.log(np.abs(ct[live]))
+    sign = np.sign(ct)
 
-    def phi(t):
-        return np.exp(-(alpha @ np.log1p(-1j * t * ct)))
+    # beyond ln t = u face i leaves out C_i e^(-(p_i - 1) u) / (p_i - 1), with
+    # ln C_i = -sum alpha_v ln|c_v| - [c_i != 0] ln|c_i|; log_t_cut is the u
+    # where that is e^_DE_LOG_CUT, divided through so that no alpha overflows
+    power = alpha[live].sum() + (live - 1.0)                 # p_i - 1
+    with np.errstate(over="ignore"):
+        log_t_cut = -(weights[live] @ log_c[live]) * (total_alpha / power) - (
+            np.where(live, log_c, 0.0) + np.log(power) + _DE_LOG_CUT) / power
+        log_t_hi = min(max(float(log_t_cut.max()), 0.0), (math.pi / 2) * math.sinh(_DE_X_MAX))
+        cut_hi = np.exp(power * (log_t_cut - log_t_hi) + _DE_LOG_CUT)
+    x_lo = math.asinh(_DE_LOG_CUT / (math.pi / 2))
+    x_hi = math.asinh(log_t_hi / (math.pi / 2))
+    log_t_series = math.log(_DE_SERIES) - float(log_c.max())
 
-    values, errors = np.empty(N_FACES), np.empty(N_FACES)
-    for i in range(N_FACES):
-        # full_output keeps quad from warning; its error estimate is the bound
-        values[i], errors[i] = quad(lambda t: (phi(t) / (1.0 - 1j * t * ct[i])).real,
-                                    0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200,
-                                    full_output=1)[:2]
-    scale = alpha / tilt
-    num, err = scale * values, scale * errors
-    total = num.sum()
+    def integrand(x):
+        """The six integrands, times dt/dx, summed over the nodes x (ascending)."""
+        log_t = (math.pi / 2) * np.sinh(x)
+        u = log_t[:, None] + log_c                            # ln |t c_v|
+        far = u > 0.0
+        # the huge-alpha sums below may overflow, but only where |phi| is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # t c_v, or 1 / (t c_v) where |t c_v| > 1
+            s = sign * np.exp(-np.abs(u))
+            rest = 0.5 * np.log1p(s * s)
+            half_log1p = np.maximum(u, 0.0) + rest            # 1/2 ln(1 + (t c_v)^2)
+            # ln t - 1/2 ln(1 + (t c_i)^2), with ln t cancelled where t c_i > 1
+            log_face = np.where(far, -log_c, log_t[:, None]) - rest
+            # arctan(t c_v) = r_v, or sign_v pi/2 + r_v where |t c_v| > 1
+            r = np.arctan(s)
+            r[far] *= -1.0
+            arg = (r + (math.pi / 2) * sign * far) @ alpha
+            near = np.searchsorted(log_t, log_t_series, side="right")
+            square = s[:near] ** 2
+            series = np.zeros_like(square)
+            for coef in _ATAN_SERIES:
+                series = series * square + coef
+            arg[:near] = (s[:near] * square * series) @ alpha
+            log_mag = np.log((math.pi / 2) * np.cosh(x)) - half_log1p @ alpha
+            mag = np.exp(log_mag[:, None] + log_face)
+            # cos(arg + sign pi/2 + r) = -sign sin(arg + r): a cosine near 0 keeps its digits
+            y = arg[:, None] + r
+            wave = np.where(far, -sign * np.sin(y), np.cos(y))
+            return np.where(mag > 0, mag * wave, 0.0).sum(axis=0)
+
+    scale = weights / tilt
+    step = _DE_STEP
+    count = math.ceil((x_hi - x_lo) / step)
+    sums = integrand(x_lo + step * np.arange(count + 1))
+    values = step * sums
+    while True:
+        step /= 2
+        sums += integrand(x_lo + step * np.arange(1, 2 * count, 2))
+        count *= 2
+        change = np.abs(step * sums - values)
+        values = step * sums
+        num = scale * values
+        total = num.sum()
+        if not (np.max(scale * change) > _DE_TOL * total) or step <= _DE_MIN_STEP:
+            break
+    err = scale * (change + math.exp(_DE_LOG_CUT) + cut_hi)
     probs = np.maximum(num / total, 0.0)
-    return probs, (err + probs * err.sum()) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (err + probs * err.sum()) / total + _DE_FLOOR
+    # never negative or nan: a bound that cannot be computed is inf
+    return probs, np.where((bound >= 0) & (total > 0), bound, np.inf)
 
 
 def _slice_half(fp, fq, fr):
@@ -614,9 +702,13 @@ def johnson_large_n(a: Average, concentration: float,
     Computed by Fourier inversion (see _johnson_fourier), which sets its own
     accuracy: `budget` is accepted and ignored. When a is a face value v and
     the other faces' concentrations sum to at most 1, the slice density cannot
-    be integrated at the vertex e_v, and the posterior is that vertex.
+    be integrated at the vertex e_v, and the posterior is that vertex. A
+    concentration whose pseudo-counts would overflow (above about 3e307)
+    raises ValueError.
     """
     _check_concentration(concentration)
+    if not math.isfinite(N_FACES * concentration):
+        raise ValueError("concentration too large: the pseudo-counts overflow")
     alpha = concentration * (np.asarray(base.probs) if base is not None
                              else np.ones(N_FACES))
     av = a.value

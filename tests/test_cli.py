@@ -458,8 +458,8 @@ class TestImport:
               "if m.split('.')[0] in ('numpy', 'scipy') or m.startswith('dicebayes.')))")
 
     # the questions that need no scipy: the closed forms (Johnson at N = 300
-    # tilts its faces to the saddle point first), the maxent families, and the
-    # parameter-large limits
+    # tilts its faces to the saddle point first), the large-N Johnson slice, the
+    # maxent families, and the parameter-large limits
     NO_SCIPY = ["--n 12 --avg 5 --model fair --throw old",
                 "--n 32 --avg 7/2 --model johnson --param 5 --throw old",
                 "--n 300 --avg 5 --model johnson --param 50 --throw old",
@@ -469,6 +469,8 @@ class TestImport:
                 "--large-n --avg 5 --model min-kl --m 1,2,3,4,5,6",
                 "--n 12 --avg 5 --model multiplicity --param large --throw old",
                 "--n 12 --avg 5 --model johnson --param large --m 1,2,3,4,5,6 --throw old",
+                "--large-n --avg 5 --model johnson --param 5 --throw old",
+                "--large-n --avg 5 --model johnson --param 5 --m 1,2,3,4,5,6 --throw old",
                 "--large-n --avg 5 --model johnson --param large --n-over-param small "
                 "--throw old",
                 "--large-n --avg 5 --model johnson --param large --n-over-param large "

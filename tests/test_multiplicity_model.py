@@ -21,6 +21,7 @@ from dicebayes import (Average, BudgetExhausted, ContradictoryData,
                        johnson_posterior, maxent_burg, maxent_shannon, min_kl,
                        multiplicity_large_n, multiplicity_posterior, posterior)
 from dicebayes.cli import main
+from dicebayes.maxent import burg_tilt
 from dicebayes.combinatorics import _constrained_counts
 from dicebayes import multiplicity_model
 from dicebayes.multiplicity_model import (_LATTICE_TOL, _ROW_BLOCK, _SLICE_TOL, _Lattice,
@@ -390,14 +391,25 @@ class TestJohnsonSlice:
         assert res.method == "deterministic-quad"
         assert max(res.error_bound) <= 1e-10
 
+    @pytest.mark.parametrize("alpha", [(1, 2, 3, 4, 5, 6), (2, 2, 1, 1, 3, 5)])
+    @pytest.mark.parametrize("a", ["5", "7/2", "23/10"])
+    def test_base_weighted_matches_the_bspline_oracle(self, a, alpha):
+        res = johnson_large_n(Average.parse(a), float(sum(alpha)),
+                              Distribution.from_weights(alpha))
+        exact = bspline_slice_mean(Average.parse(a), alpha)
+        assert max_dev(res.distribution, [float(x) for x in exact]) <= 1e-10
+        assert max(res.error_bound) <= 1e-10
+
     @pytest.mark.parametrize("face", [2, 3, 4, 5])
     def test_face_value_identity(self, face):
         # observed, not derived: at a = v the posterior of face v is
-        # alpha_v / (A - 1), also for K < 1 and with a base
+        # alpha_v / (A - 1), also for K < 1 and with a base; the other faces'
+        # sum of 1.002 to 1.1 makes face v's integrand fall as t^-1.002 to t^-1.1
         rng = np.random.default_rng(face)
         for base in (None, Distribution.from_weights(rng.uniform(0.2, 1.0, 6))):
             m = np.ones(6) if base is None else np.asarray(base.probs)
-            for k in (0.3, 0.5, 1.0, 5.0, 50.0, 1e3, 1e6):
+            slow = tuple(rest / (m.sum() - m[face - 1]) for rest in (1.002, 1.02, 1.1))
+            for k in (0.3, 0.5, 1.0, 5.0, 50.0, 1e3, 1e6) + slow:
                 alpha = k * m
                 if alpha.sum() - alpha[face - 1] <= 1.0:
                     continue
@@ -415,6 +427,84 @@ class TestJohnsonSlice:
             res = johnson_large_n(A5, k, base)
         assert res.distribution == Distribution.vertex(5)
         assert res.method == "analytic-limit"
+
+    @pytest.mark.parametrize("k", [1e10, 1e14, 1e20])
+    @pytest.mark.parametrize("a", ["5", "7/2", "23/10"])
+    def test_large_concentration_is_burg_without_warning(self, a, k):
+        # the slice density peaks at the Burg solution, within 1 / K of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = johnson_large_n(Average.parse(a), k)
+        burg = maxent_burg(Average.parse(a)).distribution
+        assert max(res.error_bound) <= 1e-10
+        assert all(abs(p - q) <= e + 1 / k
+                   for p, q, e in zip(res.distribution, burg, res.error_bound))
+
+    @pytest.mark.parametrize("base", [None, BASE])
+    @pytest.mark.parametrize("a", ["5", "7/2", "23/10"])
+    def test_concentration_near_overflow_is_burg(self, a, base):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = johnson_large_n(Average.parse(a), 1e300, base)
+        assert all(0 <= e <= 1e-10 for e in res.error_bound)
+        assert max_dev(res.distribution, maxent_burg(Average.parse(a), base).distribution) <= 1e-14
+        with pytest.raises(ValueError, match="too large"):
+            johnson_large_n(Average.parse(a), 1e308, base)
+
+    @pytest.mark.parametrize("base", [None, BASE])
+    @pytest.mark.parametrize("a", ["23/10", "51/10"])
+    def test_small_concentration_is_continuous(self, a, base):
+        # the integrands fall as t^-(1 + 6K) and nearly all of each integral is
+        # in that tail; the posterior moves by O(K), so K = 1e-12 and 1e-13 agree
+        # within their bounds
+        res = [johnson_large_n(Average.parse(a), k, base) for k in (1e-12, 1e-13)]
+        assert all(max(r.error_bound) <= 1e-10 for r in res)
+        assert all(abs(p - q) <= e + f + 1e-11 for p, q, e, f in zip(
+            res[0].distribution, res[1].distribution, res[0].error_bound, res[1].error_bound))
+
+    def test_a_bound_that_is_not_finite_warns(self):
+        # at K = 1e-300 the integrand falls as t^-(1 + 6e-300): the nodes stop
+        # long before its tail does, and what they leave out overflows
+        with pytest.warns(BudgetExhausted, match="inf"):
+            res = johnson_large_n(A35, 1e-300)
+        assert all(e == math.inf for e in res.error_bound)
+
+    def test_matches_scipy_quad(self):
+        # scipy's adaptive quad on each face, on the same real-form integrand;
+        # the saddle tilt is shared, since every valid tilt gives the same integrals
+        from scipy.integrate import quad
+
+        rng = np.random.default_rng(20)
+        checked = 0
+        for _ in range(150):
+            a = Fraction(int(rng.integers(21, 120)), 20)
+            k = float(10 ** rng.uniform(math.log10(0.05), 6))
+            base = (None if rng.random() < 0.4
+                    else Distribution.from_weights(rng.uniform(0.1, 1.0, 6)))
+            res = johnson_large_n(Average(a), k, base)
+            if res.method != "deterministic-quad":
+                continue                                     # a vertex
+            alpha = k * (np.ones(6) if base is None else np.asarray(base.probs))
+            c = np.arange(1.0, 7.0) - float(a)
+            tilt = 1.0 + burg_tilt(float(a), alpha / alpha.sum()) * c
+            ct = c / tilt / math.sqrt(alpha @ (c / tilt) ** 2)
+            terms = list(zip(alpha.tolist(), ct.tolist()))
+
+            def integrand(t, ci):
+                log_mag = arg = 0.0
+                for w, cv in terms:
+                    log_mag += w * math.log1p((t * cv) ** 2)
+                    arg += w * math.atan(t * cv)
+                return (math.exp(-0.5 * (log_mag + math.log1p((t * ci) ** 2)))
+                        * math.cos(arg + math.atan(t * ci)))
+
+            num = alpha / tilt * [quad(integrand, 0.0, math.inf, args=(ci,), epsabs=0.0,
+                                       epsrel=1e-12, limit=200, full_output=1)[0]
+                                  for ci in ct.tolist()]
+            dev = np.abs(np.asarray(res.distribution.probs) - num / num.sum())
+            assert np.all(dev <= np.maximum(1e-12, res.error_bound)), (a, k, base)
+            checked += 1
+        assert checked >= 140
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_slice_lattice_with_johnson_weights(self, k):
