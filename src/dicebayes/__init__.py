@@ -21,7 +21,8 @@ import importlib
 # each public name, by the submodule that defines it
 _EXPORTS = {name: module for module, names in {
     "core": "Average BudgetExhausted ContradictoryData DegenerateWeights Distribution Exact "
-            "FairThrow Johnson LargeN Multiplicity PosteriorResult Query NEW OLD shannon_entropy",
+            "FairThrow Johnson LargeN MaxEnt Multiplicity PosteriorResult Query NEW OLD "
+            "shannon_entropy",
     "exact_models": "fair_posterior generalized_johnson_posterior johnson_posterior",
     "maxent": "MaxentSolution maxent_burg maxent_shannon min_kl",
     "multiplicity_model": "generalized_multiplicity_posterior johnson_large_n "

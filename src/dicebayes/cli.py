@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -15,8 +14,8 @@ from decimal import Decimal, ROUND_HALF_UP
 from typing import List, Optional, Sequence
 
 from .core import (Average, BudgetExhausted, ContradictoryData, Distribution, Exact,
-                   FairThrow, Johnson, LargeN, Multiplicity, Query, PosteriorResult,
-                   NEW, OLD, shannon_entropy)
+                   FairThrow, Johnson, LargeN, MaxEnt, Multiplicity, Query, PosteriorResult,
+                   ANALYTIC_LIMIT, NEW, OLD, shannon_entropy)
 from .reference import (ReferenceRow, ReferenceTable, UNIFORM_ANY_A,
                         load_reference_tables)
 
@@ -40,10 +39,6 @@ _EPS = 1e-9
 KNOWN_DISCREPANCIES = {
     ("n2-a5", "multiplicity", "1", OLD): 0.6,
 }
-
-
-# Warnings that `reproduce` collects per table row and reports in one line each.
-_CELL_WARNINGS = {BudgetExhausted: "stopped short of their error target"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,78 +88,74 @@ def _parse_param(text: Optional[str]) -> Optional[float]:
     return param
 
 
+# --model: its model of a Query, built from --param and --m; the flags it reads
+# besides --avg, --format and --config; and those of them it requires
+_EXCHANGEABLE = ("--n", "--large-n", "--param", "--throw", "--m", "--n-over-param")
+_MODELS = {
+    "fair": (lambda param, base: FairThrow(), ("--n", "--large-n", "--throw"), ("--throw",)),
+    "johnson": (Johnson, _EXCHANGEABLE, ("--throw", "--param")),
+    "multiplicity": (Multiplicity, _EXCHANGEABLE, ("--throw", "--param")),
+    "maxent-shannon": (lambda param, base: MaxEnt("shannon", base), ("--large-n",), ()),
+    "maxent-burg": (lambda param, base: MaxEnt("burg", base), ("--large-n", "--m"), ()),
+    "min-kl": (lambda param, base: MaxEnt("shannon", base), ("--large-n", "--m"), ("--m",)),
+}
+# where a model that reads no --m sends a base
+_BASE_ELSEWHERE = {
+    "fair": "fair throws from a base are --model johnson (or multiplicity) --param large --m",
+    "maxent-shannon": "the distribution of least divergence from a base is --model min-kl",
+}
+
+
 def _refuse_unread_flags(args):
-    """A usage error for a given flag that --model does not read: the maxent
-    models read none of --n, --param, --throw and --n-over-param, fair reads
-    --n and --throw, and johnson and multiplicity read --n-over-param only
-    with --large-n --param large. --m is checked with the model."""
+    """A usage error for a given flag that --model does not read (see _MODELS), and
+    for --n-over-param without --large-n --param large. --m is checked later."""
     model = f"--model {args.model}"
+    reads = _MODELS[args.model][1]
     if args.n is not None and args.large_n:
         # argparse keeps the two apart on the command line, not in a config file
         raise _UsageError("--n and --large-n exclude each other")
-    if args.model in ("maxent-shannon", "maxent-burg", "min-kl"):
-        if args.n is not None:
-            raise _UsageError(f"{model} answers only --large-n; it does not read --n")
-        reads = ()
-    elif args.model == "fair":
-        reads = ("--throw",)
-    else:
-        if args.n_over_param is not None and not (args.large_n and args.param == "large"):
-            raise _UsageError(f"{model} reads --n-over-param only with "
-                              "--large-n --param large")
-        reads = ("--param", "--throw", "--n-over-param")
+    if args.n is not None and "--n" not in reads:
+        raise _UsageError(f"{model} answers only --large-n; it does not read --n")
     for flag, value in (("--param", args.param), ("--throw", args.throw),
                         ("--n-over-param", args.n_over_param)):
         if value is not None and flag not in reads:
             raise _UsageError(f"{model} does not read {flag}")
+    if args.n_over_param is not None and not (args.large_n and args.param == "large"):
+        raise _UsageError(f"{model} reads --n-over-param only with --large-n --param large")
+
+
+def _query(model: str, n: Optional[int], a: Average, throw: Optional[str],
+           param: Optional[float], n_over_param: Optional[str],
+           base: Optional[Distribution]) -> Query:
+    """The question that eval asks with these flags: --model at n throws, or at
+    --large-n when n is None. A max-ent model answers old and new throws alike."""
+    regime = (Exact(n) if n is not None
+              else LargeN(None if n_over_param is None else n_over_param == "large"))
+    return Query(regime, a, throw or OLD, _MODELS[model][0](param, base))
 
 
 @functools.cache
-def _models():
-    """The maxent and router modules, imported once with the first question, so
-    that --help and usage errors load no numpy."""
-    from . import maxent, router
-    return maxent, router
+def _posterior():
+    """router.posterior, imported with the first question: --help loads no numpy."""
+    from .router import posterior
+    return posterior
 
 
 def _eval_query(args) -> PosteriorResult:
-    maxent, router = _models()
     param = _parse_param(args.param)
     _refuse_unread_flags(args)
     a = Average.parse(args.avg)
     base = _parse_base(args.m) if args.m else None
-
-    if args.model == "maxent-shannon":
-        if base is not None:
-            raise _UsageError("--model maxent-shannon takes no --m; the distribution "
-                              "of least divergence from a base is --model min-kl")
-        return router._limit(maxent.maxent_shannon(a).distribution)
-    if args.model == "maxent-burg":
-        return router._limit(maxent.maxent_burg(a, base).distribution)
-    if args.model == "min-kl":
-        if base is None:
-            raise _UsageError("--model min-kl requires --m")
-        return router._limit(maxent.min_kl(a, base).distribution)
-
-    if args.throw is None:
-        raise _UsageError(f"--model {args.model} requires --throw")
-    if args.model == "fair":
-        if base is not None:
-            raise _UsageError("--model fair takes no --m; fair throws from a base are "
-                              "--model johnson (or multiplicity) --param large --m")
-        model = FairThrow()
-    elif param is None:
-        raise _UsageError(f"--model {args.model} requires --param")
-    elif args.model == "johnson":
-        model = Johnson(param, base)
-    else:
-        model = Multiplicity(param, base)
-    if args.large_n:
-        ratio = None if args.n_over_param is None else args.n_over_param == "large"
-        regime = LargeN(ratio)
-    else:
-        regime = Exact(args.n)
-    return router.posterior(Query(regime, a, args.throw, model))
+    _, reads, requires = _MODELS[args.model]
+    given = {"--m": base, "--throw": args.throw, "--param": param}
+    for flag in requires:
+        if given[flag] is None:
+            raise _UsageError(f"--model {args.model} requires {flag}")
+    if base is not None and "--m" not in reads:
+        raise _UsageError(f"--model {args.model} takes no --m; "
+                          + _BASE_ELSEWHERE[args.model])
+    return _posterior()(_query(args.model, args.n, a, args.throw, param,
+                               args.n_over_param, base))
 
 
 class _UsageError(Exception):
@@ -195,12 +186,10 @@ def _cmd_eval(args) -> int:
     if args.format == "json":
         print(json.dumps(_result_payload(result), indent=2, sort_keys=True))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([f"p{i}" for i in range(1, 7)] + ["entropy", "method"])
         writer.writerow([repr(p) for p in result.distribution]
                         + [repr(result.entropy_nats), result.method])
-        sys.stdout.write(buf.getvalue())
     else:
         print(_fmt_result(result))
         print(f"method: {result.method}")
@@ -215,8 +204,7 @@ def _cmd_eval(args) -> int:
 @dataclass(frozen=True)
 class ComputedCell:
     result: Optional[PosteriorResult]   # None when undefined
-    annotation: Optional[str] = None
-    uniform_any_a: bool = False
+    annotation: Optional[str] = None    # UNIFORM_ANY_A is printed in place of numbers
 
 
 @dataclass
@@ -227,45 +215,32 @@ class ComputedRow:
     new: ComputedCell
 
 
-# Row parameters that mark both N and the model parameter large, and whether
-# N / parameter is large
-_RATIO_LARGE = {"large-ratio-small": False, "large-ratio-large": True}
-
-
-def _row_model(model: str, param: Optional[str]):
-    if model == "fair":
-        return FairThrow()
-    value = math.inf if param in ("large", *_RATIO_LARGE) else float(param)
-    return Johnson(value) if model == "johnson" else Multiplicity(value)
-
-
 def _compute_row(ref: ReferenceTable, row: ReferenceRow) -> ComputedRow:
-    maxent, router = _models()
-    model, param = row.model, row.param
-    if model == "me":
-        cell = ComputedCell(router._limit(maxent.maxent_shannon(ref.average).distribution))
-        return ComputedRow(model, param, cell, cell)
-    if model == "all-exchangeable":
-        return ComputedRow(model, param, ComputedCell(None), ComputedCell(None))
-
-    regime = LargeN(_RATIO_LARGE.get(param)) if ref.is_large_n else Exact(ref.n)
-    spec = _row_model(model, param)
+    if row.model == "all-exchangeable":
+        return ComputedRow(row.model, row.param, ComputedCell(None), ComputedCell(None))
+    # the row as eval's flags: the ME row is --large-n --model maxent-shannon at
+    # every N, and a parameter "large-ratio-small" is --param large --n-over-param small
+    model = "maxent-shannon" if row.model == "me" else row.model
+    n = None if ref.is_large_n or row.model == "me" else ref.n
+    param, _, ratio = (row.param or "").partition("-ratio-")
     cells = []
     for throw, ref_cell in ((OLD, row.old), (NEW, row.new)):
         if ref_cell.uniform_any_a:
-            cells.append(ComputedCell(router._limit(Distribution.uniform()), UNIFORM_ANY_A,
-                                      True))
+            cells.append(ComputedCell(PosteriorResult.from_distribution(
+                Distribution.uniform(), ANALYTIC_LIMIT), UNIFORM_ANY_A))
             continue
-        if cells and ref.is_large_n:
+        if cells and n is None:
             # at large N an old and a new throw have the same posterior
             result = cells[0].result
         else:
+            query = _query(model, n, ref.average, throw, _parse_param(param or None),
+                           ratio or None, None)
             try:
-                result = router.posterior(Query(regime, ref.average, throw, spec))
+                result = _posterior()(query)
             except ContradictoryData:
                 result = None
         cells.append(ComputedCell(result, ref_cell.annotation))
-    return ComputedRow(model, param, *cells)
+    return ComputedRow(row.model, row.param, *cells)
 
 
 _ROW_LABELS = {"me": "ME", "fair": "fair-throw", "johnson": "Johnson",
@@ -286,7 +261,7 @@ def _row_label(row: ComputedRow) -> str:
 def _cell_text(cell: ComputedCell) -> str:
     if cell.result is None:
         return "undefined"
-    if cell.uniform_any_a:
+    if cell.annotation == UNIFORM_ANY_A:
         return UNIFORM_ANY_A
     text = (f"{_fmt_percent(cell.result.distribution)} "
             f"[{cell.result.entropy_nats:.3f}]")
@@ -368,44 +343,34 @@ def _diff_row(problem: str, row: ComputedRow, ref_row: ReferenceRow,
 
 def _cmd_reproduce(args) -> int:
     tables = load_reference_tables()
-    if args.only:
-        missing = [p for p in args.only if p not in tables]
-        if missing:
-            raise _UsageError(f"unknown problem id(s): {', '.join(missing)}")
-        selected = [p for p in tables if p in set(args.only)]
-    else:
-        selected = list(tables)
+    missing = [p for p in args.only or () if p not in tables]
+    if missing:
+        raise _UsageError(f"unknown problem id(s): {', '.join(missing)}")
+    selected = [p for p in tables if not args.only or p in args.only]
 
     computed = {}
-    flagged = {category: {} for category in _CELL_WARNINGS}
+    stopped = {}        # the rows whose BudgetExhausted warnings are reported in one line
     for problem in selected:
         ref = tables[problem]
         computed[problem] = []
         for ref_row in ref.rows:
             with warnings.catch_warnings(record=True) as caught:
-                for category in _CELL_WARNINGS:
-                    warnings.simplefilter("always", category)
+                warnings.simplefilter("always", BudgetExhausted)
                 row = _compute_row(ref, ref_row)
             computed[problem].append(row)
             for w in caught:
-                if w.category in flagged:
-                    flagged[w.category][f"{problem} {_row_label(row)}"] = None
+                if w.category is BudgetExhausted:
+                    stopped[f"{problem} {_row_label(row)}"] = None
                 else:
                     warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
     if args.format == "json":
-        docs = []
-        for problem in selected:
-            ref = tables[problem]
-            docs.append({
-                "problem": {"regime": "large-n" if ref.is_large_n else ref.n,
-                            "avg": str(ref.average)},
-                "rows": [_row_payload(r) for r in computed[problem]],
-            })
+        docs = [{"problem": {"regime": "large-n" if tables[p].is_large_n else tables[p].n,
+                             "avg": str(tables[p].average)},
+                 "rows": [_row_payload(r) for r in computed[p]]} for p in selected]
         print(json.dumps(docs, indent=2, sort_keys=True))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["problem", "model", "param", "throw"]
                         + [f"p{i}" for i in range(1, 7)] + ["entropy", "method"])
         for problem in selected:
@@ -419,26 +384,20 @@ def _cmd_reproduce(args) -> int:
                                         + [repr(p) for p in cell.result.distribution]
                                         + [repr(cell.result.entropy_nats),
                                            cell.result.method])
-        sys.stdout.write(buf.getvalue())
     else:
         for problem in selected:
             print(_render_markdown(problem, tables[problem], computed[problem]))
 
-    for category, cells in flagged.items():
-        if cells:
-            print(f"warning: {len(cells)} row(s) {_CELL_WARNINGS[category]}: "
-                  + ", ".join(cells), file=sys.stderr)
+    if stopped:
+        print(f"warning: {len(stopped)} row(s) stopped short of their error target: "
+              + ", ".join(stopped), file=sys.stderr)
 
     if not args.diff:
         return EXIT_OK
 
-    failures: List[str] = []
-    cells = 0
-    for problem in selected:
-        ref = tables[problem]
-        for row, ref_row in zip(computed[problem], ref.rows):
-            cells += 2
-            failures.extend(_diff_row(problem, row, ref_row, args.fast))
+    failures = [f for p in selected for row, ref_row in zip(computed[p], tables[p].rows)
+                for f in _diff_row(p, row, ref_row, args.fast)]
+    cells = 2 * sum(len(computed[p]) for p in selected)
     print(f"diff: {cells} cells compared, {len(failures)} deviation(s) beyond tolerance")
     for f in failures:
         print(f"  {f}")
@@ -463,9 +422,7 @@ def build_parser() -> _Parser:
     regime.add_argument("--large-n", action="store_true",
                         help="asymptotic regime of many throws")
     ev.add_argument("--avg", required=True, help="observed average, e.g. 5 or 7/2 or 3.5")
-    ev.add_argument("--model", required=True,
-                    choices=["fair", "johnson", "multiplicity",
-                             "maxent-shannon", "maxent-burg", "min-kl"])
+    ev.add_argument("--model", required=True, choices=list(_MODELS))
     ev.add_argument("--param", default=None,
                     help="model parameter (K or L), or 'large'")
     ev.add_argument("--throw", choices=[OLD, NEW], default=None)

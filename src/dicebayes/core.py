@@ -139,12 +139,27 @@ class Multiplicity:
         _check_base(self.base)
 
 
+@dataclass(frozen=True)
+class MaxEnt:
+    """The distribution of greatest Shannon entropy (least divergence from the base)
+    or Burg entropy (sum m_v ln f_v) at the observed average: a large-N limit of
+    the exchangeable models, for LargeN queries only and old and new throws alike."""
+
+    entropy: str                        # "shannon" or "burg"
+    base: Optional[Distribution] = None
+
+    def __post_init__(self):
+        if self.entropy not in ("shannon", "burg"):
+            raise ValueError(f"entropy must be 'shannon' or 'burg', got {self.entropy!r}")
+        _check_base(self.base)
+
+
 def _check_base(base: Optional[Distribution]):
     if base is not None and any(p <= 0 for p in base):
         raise ValueError("base distribution must have strictly positive entries")
 
 
-ModelSpec = Union[FairThrow, Johnson, Multiplicity]
+ModelSpec = Union[FairThrow, Johnson, Multiplicity, MaxEnt]
 
 
 # --- queries --------------------------------------------------------------

@@ -17,7 +17,8 @@ from .core import (_check_base, Average, Distribution, PosteriorResult, CLOSED_F
                    NEW, N_FACES)
 from .combinatorics import _pip_total
 from .maxent import _brentq, maxent_shannon, min_kl
-from .multiplicity_model import _MAX_SLICE_GRID, _check_concentration, _pair_means, _scaled
+from .multiplicity_model import (_MAX_SLICE_GRID, _check_concentration, _pair_means,
+                                 _pseudo_counts, _scaled)
 
 # Faces scaled to their own maxima may underflow on the constraints once their log
 # weights span this many nats in all; they are then tilted to the saddle point first.
@@ -107,13 +108,17 @@ def _johnson_saddle(n: int, s: int, alpha: np.ndarray) -> np.ndarray:
         return (alpha * _OFFSETS) @ (1.0 / np.expm1(-t0_at(t1) - t1 * _OFFSETS)) - (s - n)
 
     # at |t1| = b all faces but the extreme one hold under one pip offset
-    b = math.log1p(6.0 * alpha.sum()) + 2.0
-    t1 = _brentq(offset, -b, b, xtol=1e-9)
-    return t0_at(t1) + t1 * _OFFSETS
+    b = math.log1p(6.0 * float(alpha.sum())) + 2.0
+    # 1 / expm1 is inf at a face's pole and 0 past the double range: a count
+    # above or below any n, as the brackets' ends want it
+    with np.errstate(over="ignore", divide="ignore"):
+        t1 = _brentq(offset, -b, b, xtol=1e-9)
+        return t0_at(t1) + t1 * _OFFSETS
 
 
-def _johnson_result(n: int, a: Average, pseudo, throw: str) -> PosteriorResult:
-    """Common path: per-face pseudo-counts `pseudo` (length 6), weights
+def _johnson_result(n: int, a: Average, concentration: float,
+                    base: Optional[Distribution], throw: str) -> PosteriorResult:
+    """Common path: per-face pseudo-counts K m_v (K without a base), weights
     prod Gamma(c_v + pseudo_v) / c_v!.
 
     The table holds ln[(pseudo)_c / c!] for c = 0..n, the weight up to the
@@ -121,17 +126,29 @@ def _johnson_result(n: int, a: Average, pseudo, throw: str) -> PosteriorResult:
     over j < c. It keeps its dependence on c at any pseudo-count, where
     gammaln(c + pseudo) alone would drown it in gammaln(pseudo).
     """
-    pseudo = np.asarray(pseudo, dtype=float)
+    pseudo = _pseudo_counts(concentration, base)
     j = np.arange(n)[:, None]
     table = np.concatenate([np.zeros((1, N_FACES)),
                             np.cumsum(np.log(pseudo + j) - np.log1p(j), axis=0)])
-    return _closed_form(n, a, table, lambda s: _johnson_saddle(n, s, pseudo), throw, pseudo)
+
+    def saddle(s):
+        # its brackets need pseudo-counts that n does not round away and whose
+        # sum, six times over, does not overflow
+        k = f"concentration {concentration:g}"
+        if n + 2.0 * float(pseudo.sum()) == n:
+            raise ValueError(f"{k} is too small for the closed form at N = {n}: its "
+                             f"pseudo-counts vanish beside N")
+        if math.isinf(6.0 * float(pseudo.sum())):
+            raise ValueError(f"{k} is too large for the closed form at N = {n}: its saddle "
+                             f"point overflows (--param large is the limit)")
+        return _johnson_saddle(n, s, pseudo)
+
+    return _closed_form(n, a, table, saddle, throw, pseudo)
 
 
 def johnson_posterior(n: int, a: Average, concentration: float, throw: str) -> PosteriorResult:
     """Symmetric Johnson (Dirichlet) model, pseudo-count `concentration` per face."""
-    _check_concentration(concentration)
-    return _johnson_result(n, a, (concentration,) * N_FACES, throw)
+    return _johnson_result(n, a, concentration, None, throw)
 
 
 def generalized_johnson_posterior(n: int, a: Average, concentration: float,
@@ -146,5 +163,4 @@ def generalized_johnson_posterior(n: int, a: Average, concentration: float,
         if throw == OLD:
             raise ValueError("with no data there is no old throw to ask about")
         return PosteriorResult.from_distribution(base, CLOSED_FORM)
-    pseudo = tuple(concentration * p for p in base)
-    return _johnson_result(n, a, pseudo, throw)
+    return _johnson_result(n, a, concentration, base, throw)

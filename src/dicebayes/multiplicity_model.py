@@ -691,6 +691,15 @@ def _slice_result(probs: np.ndarray, bound: np.ndarray) -> PosteriorResult:
 def _check_concentration(concentration: float):
     if not (concentration > 0 and math.isfinite(concentration)):
         raise ValueError("concentration must be a finite positive real")
+    if math.isinf(N_FACES * concentration):
+        raise ValueError(f"concentration {concentration:g} is too large: its pseudo-counts "
+                         f"overflow")
+
+
+def _pseudo_counts(concentration: float, base: Optional[Distribution]) -> np.ndarray:
+    """K m_v per face, K per face without a base, for a checked K."""
+    _check_concentration(concentration)
+    return concentration * (np.ones(N_FACES) if base is None else np.asarray(base.probs))
 
 
 def johnson_large_n(a: Average, concentration: float,
@@ -706,11 +715,7 @@ def johnson_large_n(a: Average, concentration: float,
     concentration whose pseudo-counts would overflow (above about 3e307)
     raises ValueError.
     """
-    _check_concentration(concentration)
-    if not math.isfinite(N_FACES * concentration):
-        raise ValueError("concentration too large: the pseudo-counts overflow")
-    alpha = concentration * (np.asarray(base.probs) if base is not None
-                             else np.ones(N_FACES))
+    alpha = _pseudo_counts(concentration, base)
     av = a.value
     if av.denominator == 1:
         face = av.numerator

@@ -7,18 +7,18 @@ The regime (finite or large N), the model and its parameter decide the route:
   (math.inf) makes the model collapse to fair throwing from its base at that N;
 - large N, finite parameter: the Johnson slice mean by Fourier inversion or
   the multiplicity slice mean on a lattice, old and new throws alike;
-- large N, fair model or parameter dominating N: the distribution of least
-  divergence from the base for an old throw, the base for a new one;
-- large N dominating the parameter: the maximizer of sum m_v ln f_v (Johnson)
-  or the distribution of least divergence from the base (multiplicity).
+- large N, max-ent model: the maximizer of Shannon's entropy (the least
+  divergence from the base) or of Burg's (sum m_v ln f_v).
 
-Without a base m is uniform, and those maximizers are Burg's and Shannon's.
+The other large-N limits are asked again as max-ent models: fair throwing,
+or a parameter dominating N, is Shannon's from the base for an old throw (the
+base for a new one); N dominating K is Burg's and N dominating L Shannon's.
 """
 from __future__ import annotations
 
 import math
 
-from .core import (Distribution, Exact, FairThrow, Johnson, PosteriorResult, Query,
+from .core import (Distribution, Exact, FairThrow, Johnson, MaxEnt, PosteriorResult, Query,
                    ANALYTIC_LIMIT, NEW)
 from .exact_models import fair_posterior, generalized_johnson_posterior, johnson_posterior
 from .maxent import maxent_burg, maxent_shannon, min_kl
@@ -34,8 +34,7 @@ def _fair_limit(query: Query) -> PosteriorResult:
     base = getattr(query.model, "base", None)
     if query.throw == NEW:
         return _limit(base or Distribution.uniform())
-    fit = maxent_shannon(query.average) if base is None else min_kl(query.average, base)
-    return _limit(fit.distribution)
+    return posterior(Query(query.regime, query.average, query.throw, MaxEnt("shannon", base)))
 
 
 def posterior(query: Query) -> PosteriorResult:
@@ -46,6 +45,13 @@ def posterior(query: Query) -> PosteriorResult:
     gives the same answer.
     """
     model, a, throw = query.model, query.average, query.throw
+    if isinstance(model, MaxEnt):
+        if isinstance(query.regime, Exact):
+            raise ValueError("a max-ent distribution is a large-N limit; ask it at LargeN()")
+        if model.entropy == "burg":
+            return _limit(maxent_burg(a, model.base).distribution)
+        fit = maxent_shannon(a) if model.base is None else min_kl(a, model.base)
+        return _limit(fit.distribution)
     if isinstance(model, FairThrow):
         if isinstance(query.regime, Exact):
             return fair_posterior(query.regime.n, a, throw)
@@ -76,6 +82,5 @@ def posterior(query: Query) -> PosteriorResult:
                          "ratio dominates (n_over_param_large)")
     if not ratio_large:
         return _fair_limit(query)
-    if johnson:
-        return _limit(maxent_burg(a, model.base).distribution)
-    return _limit(min_kl(a, model.base or Distribution.uniform()).distribution)
+    return posterior(Query(query.regime, a, throw,
+                           MaxEnt("burg" if johnson else "shannon", model.base)))

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -36,6 +37,30 @@ def readme_cli_examples():
     block = readme.split("## CLI", 1)[1].split("```")[1]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
             if line.startswith("dicebayes ")]
+
+
+def readme_flag_table():
+    """{model: (the flags its README row reads, those it requires)}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| model | reads | requires |", 1)[1].splitlines()[2:]
+    table = {}
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        models, reads, requires = row.strip("|").split("|")
+        for model in re.findall(r"`([a-z-]+)`", models):
+            table[model] = (set(re.findall(r"--[a-z-]+", reads)),
+                            set(re.findall(r"--[a-z-]+", requires)))
+    return table
+
+
+# one question each --model answers, with every flag it requires
+_ANSWERED = {"fair": "--n 2 --avg 5 --model fair --throw old",
+             "johnson": "--n 2 --avg 5 --model johnson --param 5 --throw old",
+             "multiplicity": "--large-n --avg 5 --model multiplicity --param 5 --throw new",
+             "maxent-shannon": "--large-n --avg 5 --model maxent-shannon",
+             "maxent-burg": "--large-n --avg 5 --model maxent-burg --m 1,2,3,4,5,6",
+             "min-kl": "--large-n --avg 5 --model min-kl --m 1,2,3,4,5,6"}
 
 
 def _refused_flag_cases():
@@ -232,6 +257,24 @@ class TestEval:
                      "--throw", "old", "--config", str(path)]) == 3
         assert "--n and --large-n" in capsys.readouterr().err
 
+    def test_readme_flag_table_is_the_one_the_cli_reads(self):
+        models = cli.build_parser()._subparsers._group_actions[0].choices["eval"]
+        choices, = [a.choices for a in models._actions if a.dest == "model"]
+        table = readme_flag_table()
+        assert sorted(table) == sorted(choices) == sorted(cli._MODELS)
+        for model, (_, reads, requires) in cli._MODELS.items():
+            assert table[model] == (set(reads), set(requires)), model
+
+    @pytest.mark.parametrize("model", sorted(_ANSWERED))
+    def test_each_required_flag_is_required(self, capsys, model):
+        argv = ["eval", *shlex.split(_ANSWERED[model])]
+        assert main(argv) == 0
+        capsys.readouterr()
+        for flag in cli._MODELS[model][2]:
+            at = argv.index(flag)
+            assert main(argv[:at] + argv[at + 2:]) == 3
+            assert f"--model {model} requires {flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
     def test_readme_examples_exit_zero(self, capsys, argv):
         assert main(argv) == 0
@@ -276,6 +319,22 @@ class TestReproduce:
         row_models = [r["model"] for r in docs[0]["rows"]]
         assert row_models[0] == "me"
         assert "johnson" in row_models and "multiplicity" in row_models
+
+    def test_shannon_limits_without_a_base_are_the_me_row(self, capsys):
+        # N >> L and L >> N, old throw, are Shannon's maximizer like the ME row,
+        # to the last bit also at 7/2, where it is the uniform distribution
+        for problem in ("large-a5", "large-a3.5"):
+            assert main(["reproduce", "--only", problem, "--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)[0]["rows"]
+            me = rows[0]["old"]
+            assert rows[0]["model"] == "me" and me == rows[0]["new"]
+            limits = [(r["param"], throw, r[throw]) for r in rows
+                      for throw in ("old", "new") if r["model"] == "multiplicity"
+                      and r["param"].startswith("large")]
+            assert len(limits) == 4
+            for param, throw, cell in limits:
+                if (param, throw) != ("large-ratio-small", "new"):
+                    assert (cell["probs"], cell["entropy"]) == (me["probs"], me["entropy"])
 
     def test_no_negative_zero_entropy(self, capsys):
         # the vertex cells of these tables printed [-0.000] and "entropy": -0.0
@@ -394,6 +453,48 @@ class TestReproduce:
         assert "'n'" in capsys.readouterr().err
 
 
+class TestEvalAsksWhatReproduceAsks:
+    @staticmethod
+    def eval_argv(doc, row, throw):
+        """The eval flags of one cell: the ME row is the max-ent model at large N,
+        and a parameter large-ratio-small is --param large --n-over-param small."""
+        regime = doc["problem"]["regime"]
+        argv = ["eval", "--avg", doc["problem"]["avg"], "--format", "json"]
+        if row["model"] == "me":
+            return argv + ["--large-n", "--model", "maxent-shannon"]
+        argv += ["--large-n"] if regime == "large-n" else ["--n", str(regime)]
+        argv += ["--model", row["model"], "--throw", throw]
+        if row["param"] is not None:
+            param, _, ratio = row["param"].partition("-ratio-")
+            argv += ["--param", param] + (["--n-over-param", ratio] if ratio else [])
+        return argv
+
+    def test_every_cell_is_the_same_double(self, capsys):
+        assert main(["reproduce", "--format", "json"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        cells = 0
+        for doc in docs:
+            for row in doc["rows"]:
+                for throw in ("old", "new"):
+                    cell = row[throw]
+                    if row["model"] == "all-exchangeable":
+                        # undefined: no exchangeable model has data to condition on
+                        assert cell is None
+                        for model, param in (("fair", None), ("johnson", "1"),
+                                             ("multiplicity", "1")):
+                            argv = self.eval_argv(doc, {"model": model, "param": param}, throw)
+                            assert main(argv) == 2
+                        capsys.readouterr()
+                        continue
+                    argv = self.eval_argv(doc, row, throw)
+                    assert main(argv) == 0, argv
+                    got = json.loads(capsys.readouterr().out)
+                    assert got["probs"] == cell["probs"], argv
+                    assert got["entropy"] == cell["entropy"], argv
+                    cells += 1
+        assert cells == 296 - 2     # all cells but the undefined row's two
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self, monkeypatch, capsys):
         # building the parser costs about half of a closed-form query
@@ -446,9 +547,9 @@ class TestImport:
     SUBMODULES = ["combinatorics", "core", "exact_models", "maxent", "multiplicity_model",
                   "reference", "simplex_integration"]
     EXPORTS = ["Average", "BudgetExhausted", "ContradictoryData", "DegenerateWeights",
-               "Distribution", "Exact", "FairThrow", "Johnson", "LargeN", "MaxentSolution",
-               "Multiplicity", "NEW", "OLD", "PosteriorResult", "Query", "ReferenceCell",
-               "ReferenceRow", "ReferenceTable", "fair_posterior",
+               "Distribution", "Exact", "FairThrow", "Johnson", "LargeN", "MaxEnt",
+               "MaxentSolution", "Multiplicity", "NEW", "OLD", "PosteriorResult", "Query",
+               "ReferenceCell", "ReferenceRow", "ReferenceTable", "fair_posterior",
                "generalized_johnson_posterior", "generalized_multiplicity_posterior",
                "johnson_large_n", "johnson_posterior", "load_reference_tables",
                "maxent_burg", "maxent_shannon", "min_kl", "multiplicity_large_n",

@@ -2,6 +2,7 @@
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -157,6 +158,41 @@ class TestJohnsonPosterior:
             johnson_posterior(2, a, k, OLD)
         with pytest.raises(ValueError):
             generalized_johnson_posterior(2, a, k, Distribution.uniform(), NEW)
+
+    @pytest.mark.parametrize("n", [1, 12, 100, 1000])
+    @pytest.mark.parametrize("with_base", [False, True], ids=["symmetric", "base"])
+    def test_extreme_concentrations_answer_or_say_why_not(self, n, with_base):
+        # each K either answers, next to K = 1e-10 or to fair throwing from the
+        # base, or is refused with a message naming K; the saddle point of the
+        # tilted faces has no bracket once K m_v vanishes beside N, and
+        # overflows above about 5e306 (3e307 with a base)
+        a = Average(Fraction(5))
+        base = Distribution.from_weights((1, 2, 3, 4, 5, 6)) if with_base else None
+
+        def johnson(k, throw):
+            if base is None:
+                return johnson_posterior(n, a, k, throw).distribution.probs
+            return generalized_johnson_posterior(n, a, k, base, throw).distribution.probs
+
+        outcomes = set()
+        for throw in (OLD, NEW):
+            small = johnson(1e-10, throw)
+            for k in (1e-300, 1e-100, 1e-45, 1e-40, 1e307, 1e308):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        probs = johnson(k, throw)
+                    except ValueError as exc:
+                        side = "small" if k < 1 else "large"
+                        assert f"concentration {k:g} is too {side}" in str(exc)
+                        outcomes.add(f"refused {side}")
+                    else:
+                        limit = small if k < 1 else fair_posterior(
+                            n, a, throw, base).distribution.probs
+                        assert np.abs(np.subtract(probs, limit)).max() <= 1e-9
+                        outcomes.add("answered")
+                assert [w.message for w in caught] == []
+        assert outcomes == {"answered", "refused small", "refused large"}
 
     def test_generalized_no_data_returns_base_predictive(self):
         base = Distribution.from_weights((1, 2, 3, 4, 5, 6))

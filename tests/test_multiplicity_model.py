@@ -15,7 +15,7 @@ from scipy.special import gammaln
 
 from dicebayes import (Average, BudgetExhausted, ContradictoryData,
                        DegenerateWeights, Distribution, Exact, FairThrow, Johnson,
-                       LargeN, Multiplicity, Query, NEW, OLD, fair_posterior,
+                       LargeN, MaxEnt, Multiplicity, Query, NEW, OLD, fair_posterior,
                        generalized_johnson_posterior,
                        generalized_multiplicity_posterior, johnson_large_n,
                        johnson_posterior, maxent_burg, maxent_shannon, min_kl,
@@ -700,7 +700,43 @@ class TestPosteriorRoutes:
         johnson = posterior(Query(LargeN(True), A5, OLD, Johnson(math.inf)))
         assert johnson.distribution == maxent_burg(A5).distribution
         mult = posterior(Query(LargeN(True), A5, OLD, Multiplicity(math.inf)))
-        assert mult.distribution == min_kl(A5, Distribution.uniform()).distribution
+        assert mult.distribution == maxent_shannon(A5).distribution
+
+    @pytest.mark.parametrize("a", [A5, A35, Average(Fraction(13, 4))])
+    @pytest.mark.parametrize("throw", [OLD, NEW])
+    def test_maxent_models(self, a, throw):
+        for model, direct in ((MaxEnt("shannon"), maxent_shannon(a)),
+                              (MaxEnt("shannon", BASE), min_kl(a, BASE)),
+                              (MaxEnt("burg"), maxent_burg(a)),
+                              (MaxEnt("burg", BASE), maxent_burg(a, BASE))):
+            for regime in (LargeN(), LargeN(False), LargeN(True)):
+                res = posterior(Query(regime, a, throw, model))
+                assert res.distribution == direct.distribution
+                assert res.method == "analytic-limit"
+
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    def test_maxent_models_are_large_n_only(self, n):
+        for model in (MaxEnt("shannon"), MaxEnt("burg", BASE)):
+            with pytest.raises(ValueError, match="large-N"):
+                posterior(Query(Exact(n), A5, OLD, model))
+
+    def test_maxent_model_checks_its_arguments(self):
+        with pytest.raises(ValueError, match="shannon"):
+            MaxEnt("renyi")
+        with pytest.raises(ValueError, match="positive"):
+            MaxEnt("burg", Distribution.vertex(6))
+
+    @pytest.mark.parametrize("a", [A5, A35])
+    def test_without_a_base_every_shannon_limit_is_one_distribution(self, a):
+        # fair throwing, a parameter dominating N and N dominating L are all
+        # Shannon's maximizer, the uniform distribution itself at 7/2
+        shannon = maxent_shannon(a).distribution
+        for regime, model in ((LargeN(), FairThrow()), (LargeN(False), Johnson(math.inf)),
+                              (LargeN(False), Multiplicity(math.inf)),
+                              (LargeN(True), Multiplicity(math.inf))):
+            assert posterior(Query(regime, a, OLD, model)).distribution == shannon
+        if a == A35:
+            assert shannon == Distribution.uniform()
 
     @pytest.mark.parametrize("regime", [Exact(3), LargeN(False), LargeN(True)],
                              ids=["n3", "param-dominates", "n-dominates"])
