@@ -12,8 +12,13 @@ base distribution).
 Importing the package loads nothing else: each public name imports its submodule
 on first access (PEP 562). The domain types, the reference tables and the CLI's
 parser need no numpy, so `dicebayes --help` and usage errors load none; numpy
-loads with the first computation. scipy loads only inside the multiplicity model
-and its large-N slice (gammaln, digamma).
+loads with the first computation. Nothing loads scipy: ln Gamma and ln c! come
+from `engine`, the roots from a port of Brent's method in `maxent`.
+
+Modules: `router` routes a `Query` to the closed forms (`exact_models`), the
+multiplicity lattices and the large-N slices (`multiplicity_model`) or the
+max-ent families (`maxent`); the closed forms and the lattices share one
+engine (`engine`); `simplex_integration` is the Monte Carlo reference.
 """
 
 import importlib
@@ -31,8 +36,8 @@ _EXPORTS = {name: module for module, names in {
     "reference": "ReferenceCell ReferenceRow ReferenceTable load_reference_tables",
     "simplex_integration": "sample_simplex_uniform",
 }.items() for name in names.split()}
-_SUBMODULES = ("combinatorics", "core", "exact_models", "maxent", "multiplicity_model",
-               "reference", "simplex_integration")
+_SUBMODULES = ("combinatorics", "core", "engine", "exact_models", "maxent",
+               "multiplicity_model", "reference", "simplex_integration")
 
 __all__ = sorted([*_EXPORTS, *_SUBMODULES])
 __version__ = "0.1.0"

@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence
 
 from .core import (Average, BudgetExhausted, ContradictoryData, Distribution, Exact,
                    FairThrow, Johnson, LargeN, MaxEnt, Multiplicity, Query, PosteriorResult,
-                   ANALYTIC_LIMIT, NEW, OLD, shannon_entropy)
-from .reference import (ReferenceRow, ReferenceTable, UNIFORM_ANY_A,
+                   NEW, OLD, shannon_entropy)
+from .reference import (ReferenceCell, ReferenceRow, ReferenceTable, UNIFORM_ANY_A,
                         load_reference_tables)
 
 EXIT_OK = 0
@@ -201,46 +201,38 @@ def _cmd_eval(args) -> int:
 
 # --- reproduce ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComputedCell:
-    result: Optional[PosteriorResult]   # None when undefined
-    annotation: Optional[str] = None    # UNIFORM_ANY_A is printed in place of numbers
-
-
 @dataclass
 class ComputedRow:
-    model: str
-    param: Optional[str]
-    old: ComputedCell
-    new: ComputedCell
+    ref: ReferenceRow
+    old: Optional[PosteriorResult]     # None when undefined
+    new: Optional[PosteriorResult]
+
+    def cells(self):
+        """(throw, result, printed cell) of the old and the new throw."""
+        return (OLD, self.old, self.ref.old), (NEW, self.new, self.ref.new)
 
 
 def _compute_row(ref: ReferenceTable, row: ReferenceRow) -> ComputedRow:
     if row.model == "all-exchangeable":
-        return ComputedRow(row.model, row.param, ComputedCell(None), ComputedCell(None))
+        return ComputedRow(row, None, None)
     # the row as eval's flags: the ME row is --large-n --model maxent-shannon at
     # every N, and a parameter "large-ratio-small" is --param large --n-over-param small
     model = "maxent-shannon" if row.model == "me" else row.model
     n = None if ref.is_large_n or row.model == "me" else ref.n
     param, _, ratio = (row.param or "").partition("-ratio-")
-    cells = []
-    for throw, ref_cell in ((OLD, row.old), (NEW, row.new)):
-        if ref_cell.uniform_any_a:
-            cells.append(ComputedCell(PosteriorResult.from_distribution(
-                Distribution.uniform(), ANALYTIC_LIMIT), UNIFORM_ANY_A))
+    results = []
+    for throw in (OLD, NEW):
+        if results and n is None and model != "fair" and ratio != "small":
+            # at large N only the fair limit answers a new throw apart from an old one
+            results.append(results[0])
             continue
-        if cells and n is None:
-            # at large N an old and a new throw have the same posterior
-            result = cells[0].result
-        else:
-            query = _query(model, n, ref.average, throw, _parse_param(param or None),
-                           ratio or None, None)
-            try:
-                result = _posterior()(query)
-            except ContradictoryData:
-                result = None
-        cells.append(ComputedCell(result, ref_cell.annotation))
-    return ComputedRow(row.model, row.param, *cells)
+        query = _query(model, n, ref.average, throw, _parse_param(param or None),
+                       ratio or None, None)
+        try:
+            results.append(_posterior()(query))
+        except ContradictoryData:
+            results.append(None)
+    return ComputedRow(row, *results)
 
 
 _ROW_LABELS = {"me": "ME", "fair": "fair-throw", "johnson": "Johnson",
@@ -250,7 +242,7 @@ _PARAM_LABELS = {"large": " {0} large",
                  "large-ratio-large": " {0} large, N/{0} large"}
 
 
-def _row_label(row: ComputedRow) -> str:
+def _row_label(row: ReferenceRow) -> str:
     label = _ROW_LABELS[row.model]
     if row.param is None:
         return label
@@ -258,15 +250,14 @@ def _row_label(row: ComputedRow) -> str:
     return label + _PARAM_LABELS.get(row.param, " {0}=" + row.param).format(sym)
 
 
-def _cell_text(cell: ComputedCell) -> str:
-    if cell.result is None:
+def _cell_text(result: Optional[PosteriorResult], printed: ReferenceCell) -> str:
+    if result is None:
         return "undefined"
-    if cell.annotation == UNIFORM_ANY_A:
+    if printed.annotation == UNIFORM_ANY_A:
         return UNIFORM_ANY_A
-    text = (f"{_fmt_percent(cell.result.distribution)} "
-            f"[{cell.result.entropy_nats:.3f}]")
-    if cell.annotation:
-        text += f" ({cell.annotation})"
+    text = f"{_fmt_percent(result.distribution)} [{result.entropy_nats:.3f}]"
+    if printed.annotation:
+        text += f" ({printed.annotation})"
     return text
 
 
@@ -277,66 +268,64 @@ def _render_markdown(problem: str, ref: ReferenceTable,
            "| model | old throw % [H/nat] | new throw % [H/nat] |",
            "|---|---|---|"]
     for row in rows:
-        out.append(f"| {_row_label(row)} | {_cell_text(row.old)} | {_cell_text(row.new)} |")
+        out.append(f"| {_row_label(row.ref)} | {_cell_text(row.old, row.ref.old)} "
+                   f"| {_cell_text(row.new, row.ref.new)} |")
     out.append("")
     return "\n".join(out)
 
 
 def _row_payload(row: ComputedRow) -> dict:
-    def cell(c: ComputedCell):
-        if c.result is None:
+    def cell(result: Optional[PosteriorResult], printed: ReferenceCell):
+        if result is None:
             return None
-        d = {"probs": list(c.result.distribution.probs),
-             "entropy": c.result.entropy_nats}
-        if c.annotation:
-            d["annotation"] = c.annotation
+        d = {"probs": list(result.distribution.probs), "entropy": result.entropy_nats}
+        if printed.annotation:
+            d["annotation"] = printed.annotation
         return d
 
-    payload = {"model": row.model, "param": row.param,
-               "old": cell(row.old), "new": cell(row.new)}
-    methods = {c.result.method for c in (row.old, row.new) if c.result is not None}
+    results = [r for r in (row.old, row.new) if r is not None]
+    payload = {"model": row.ref.model, "param": row.ref.param,
+               "old": cell(row.old, row.ref.old), "new": cell(row.new, row.ref.new)}
+    methods = {r.method for r in results}
     if methods:
         payload["method"] = sorted(methods)[0] if len(methods) == 1 else sorted(methods)
-    bounds = [list(c.result.error_bound) for c in (row.old, row.new)
-              if c.result is not None and c.result.error_bound is not None]
+    bounds = [list(r.error_bound) for r in results if r.error_bound is not None]
     if bounds:
         payload["error_bound"] = bounds
     return payload
 
 
-def _diff_row(problem: str, row: ComputedRow, ref_row: ReferenceRow,
-              fast: bool) -> List[str]:
+def _diff_row(problem: str, row: ComputedRow, fast: bool) -> List[str]:
     failures = []
-    for throw, comp, refc in ((OLD, row.old, ref_row.old), (NEW, row.new, ref_row.new)):
-        where = f"{problem} {_row_label(row)} {throw}"
+    for throw, comp, refc in row.cells():
+        where = f"{problem} {_row_label(row.ref)} {throw}"
         if refc.probs is None:
-            if comp.result is not None:
+            if comp is not None:
                 failures.append(f"{where}: expected undefined, got a distribution")
             continue
-        if comp.result is None:
+        if comp is None:
             failures.append(f"{where}: expected a distribution, got undefined")
             continue
-        closed = comp.result.method in ("closed-form", "analytic-limit")
+        closed = comp.method in ("closed-form", "analytic-limit")
         tol = TOL_CLOSED_PP if closed else (TOL_FAST_PP if fast else TOL_NUMERIC_PP)
         tol = max(tol, KNOWN_DISCREPANCIES.get(
-            (problem, row.model, row.param, throw), 0.0))
+            (problem, row.ref.model, row.ref.param, throw), 0.0))
         tol_h = TOL_ENTROPY if closed else TOL_ENTROPY_NUMERIC
-        for i, (computed, printed) in enumerate(zip(comp.result.distribution, refc.probs)):
+        for i, (computed, printed) in enumerate(zip(comp.distribution, refc.probs)):
             dev = abs(100.0 * computed - printed)
             if dev > tol + _EPS:
                 failures.append(f"{where}: face {i+1} computed {100*computed:.2f}% "
                                 f"vs printed {printed}% (|dev| {dev:.2f} > {tol} pp)")
         # printed entropies are computed from the rounded percentages, so
         # accept a match under either the exact or the rounded convention
-        rounded = [_round_half_up(100.0 * p, 1) for p in comp.result.distribution]
+        rounded = [_round_half_up(100.0 * p, 1) for p in comp.distribution]
         h_rounded = (shannon_entropy([r / sum(rounded) for r in rounded])
                      if sum(rounded) > 0 else 0.0)
-        dev = min(abs(comp.result.entropy_nats - refc.entropy),
-                  abs(h_rounded - refc.entropy))
+        dev = min(abs(comp.entropy_nats - refc.entropy), abs(h_rounded - refc.entropy))
         if refc.entropy_decimals is not None:
             tol_h += 0.5 * 10.0 ** (-refc.entropy_decimals)
         if dev > tol_h + _EPS:
-            failures.append(f"{where}: entropy computed {comp.result.entropy_nats:.4f} "
+            failures.append(f"{where}: entropy computed {comp.entropy_nats:.4f} "
                             f"vs printed {refc.entropy} (|dev| {dev:.4f} > {tol_h} nat)")
     return failures
 
@@ -360,7 +349,7 @@ def _cmd_reproduce(args) -> int:
             computed[problem].append(row)
             for w in caught:
                 if w.category is BudgetExhausted:
-                    stopped[f"{problem} {_row_label(row)}"] = None
+                    stopped[f"{problem} {_row_label(ref_row)}"] = None
                 else:
                     warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
@@ -375,15 +364,13 @@ def _cmd_reproduce(args) -> int:
                         + [f"p{i}" for i in range(1, 7)] + ["entropy", "method"])
         for problem in selected:
             for row in computed[problem]:
-                for throw, cell in ((OLD, row.old), (NEW, row.new)):
-                    if cell.result is None:
-                        writer.writerow([problem, row.model, row.param or "", throw,
-                                         *([""] * 6), "", "undefined"])
+                for throw, result, _ in row.cells():
+                    head = [problem, row.ref.model, row.ref.param or "", throw]
+                    if result is None:
+                        writer.writerow(head + [""] * 7 + ["undefined"])
                     else:
-                        writer.writerow([problem, row.model, row.param or "", throw]
-                                        + [repr(p) for p in cell.result.distribution]
-                                        + [repr(cell.result.entropy_nats),
-                                           cell.result.method])
+                        writer.writerow(head + [repr(p) for p in result.distribution]
+                                        + [repr(result.entropy_nats), result.method])
     else:
         for problem in selected:
             print(_render_markdown(problem, tables[problem], computed[problem]))
@@ -395,8 +382,7 @@ def _cmd_reproduce(args) -> int:
     if not args.diff:
         return EXIT_OK
 
-    failures = [f for p in selected for row, ref_row in zip(computed[p], tables[p].rows)
-                for f in _diff_row(p, row, ref_row, args.fast)]
+    failures = [f for p in selected for row in computed[p] for f in _diff_row(p, row, args.fast)]
     cells = 2 * sum(len(computed[p]) for p in selected)
     print(f"diff: {cells} cells compared, {len(failures)} deviation(s) beyond tolerance")
     for f in failures:

@@ -2,9 +2,11 @@
 
 Both are means over the count vectors c of N throws with pip sum s, weighted
 by prod_v 1/c_v! (fair) or prod_v (alpha_v)_c / c_v! (Johnson, pseudo-counts
-alpha). On the constraints sum c = N and sum (v - 1) c = s - N, the pairing of
-the large-N slice lattice, without end weights, gives E[c] without listing the
-vectors. The old throw is E[c] / N, the Johnson new throw (E[c] + alpha) / (N + sum alpha).
+alpha). On the constraints sum c = N and sum (v - 1) c = s - N, the engine's
+pairing (the large-N slice lattice's, without end weights) gives E[c] without
+listing the vectors. The old throw is E[c] / N, the Johnson new throw
+(E[c] + alpha) / (N + sum alpha). The Johnson pseudo-count checks live here, and
+the large-N Johnson slice uses them too.
 """
 from __future__ import annotations
 
@@ -16,9 +18,8 @@ import numpy as np
 from .core import (_check_base, Average, Distribution, PosteriorResult, CLOSED_FORM, OLD,
                    NEW, N_FACES)
 from .combinatorics import _pip_total
+from .engine import _MAX_SLICE_GRID, _log_factorials, _pair_means, _scaled
 from .maxent import _brentq, maxent_shannon, min_kl
-from .multiplicity_model import (_MAX_SLICE_GRID, _check_concentration, _pair_means,
-                                 _pseudo_counts, _scaled)
 
 # Faces scaled to their own maxima may underflow on the constraints once their log
 # weights span this many nats in all; they are then tilted to the saddle point first.
@@ -78,21 +79,6 @@ def fair_posterior(n: int, a: Average, throw: str,
     return _closed_form(n, a, table, saddle, OLD)
 
 
-# ln c! below 1024 from math.lgamma; above, Stirling's series in x = c + 1, of
-# which the first term left out, x^-5 / 1260, is below 1e-18
-_LOG_FACTORIALS = np.array([math.lgamma(c + 1.0) for c in range(1024)])
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """ln c! for c = 0..n, within 3 units in the last place of scipy's gammaln(c + 1)."""
-    if n < _LOG_FACTORIALS.size:
-        return _LOG_FACTORIALS[:n + 1]
-    x = np.arange(_LOG_FACTORIALS.size + 1.0, n + 2.0)
-    stirling = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2 * math.pi)
-                + (1 / 12 - 1 / (360 * x * x)) / x)
-    return np.concatenate([_LOG_FACTORIALS, stirling])
-
-
 def _johnson_saddle(n: int, s: int, alpha: np.ndarray) -> np.ndarray:
     """ln z_v = t0 + t1 (v - 1) at which the negative binomial faces
     (alpha_v)_c z^c / c!, of mean alpha_v / (1/z_v - 1), hold n counts and
@@ -114,6 +100,20 @@ def _johnson_saddle(n: int, s: int, alpha: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore"):
         t1 = _brentq(offset, -b, b, xtol=1e-9)
         return t0_at(t1) + t1 * _OFFSETS
+
+
+def _check_concentration(concentration: float):
+    if not (concentration > 0 and math.isfinite(concentration)):
+        raise ValueError("concentration must be a finite positive real")
+    if math.isinf(N_FACES * concentration):
+        raise ValueError(f"concentration {concentration:g} is too large: its pseudo-counts "
+                         f"overflow")
+
+
+def _pseudo_counts(concentration: float, base: Optional[Distribution]) -> np.ndarray:
+    """K m_v per face, K per face without a base, for a checked K."""
+    _check_concentration(concentration)
+    return concentration * (np.ones(N_FACES) if base is None else np.asarray(base.probs))
 
 
 def _johnson_result(n: int, a: Average, concentration: float,

@@ -14,7 +14,7 @@ p = j/M, I(k) is entry M of the convolution of the six per-face sequences
 h_{k_l}(j/M), with weight 1/2 at j = 0 and j = M. Without a base I(k)
 depends only on the sorted counts, so it is computed once per count
 partition; with one, once per count vector. Each face is tilted by
-exp(L psi(L/6 + 1) p), which centres it near p = m_v (the tilts multiply to
+exp(L ln(L/6 + 1/2) p), which centres it near p = m_v (the tilts multiply to
 a constant on the simplex), scaled by its maximum and trimmed to the entries
 whose exp does not underflow, so large L neither overflows nor costs more.
 The error is a series in M^-2; the Richardson extrapolate R(M) = P(M) +
@@ -30,182 +30,44 @@ those the kept lattices are dropped at the end of a query. A kept lattice
 returns the numbers a new one would, bit for bit.
 
 Monte Carlo (method="mc", the default of the model functions) is the
-reference the lattice is checked against. It samples the simplex uniformly
-and collapses the sum over frequency vectors with a generating-polynomial
-identity: with S(p, z) = sum_l p_l z^l,
-
-    sum_nv multinomial(nv) prod_l p_l^{N_l}          = [z^s] S^N
-    sum_nv multinomial(nv) (N_i/N) prod_l p_l^{N_l}  = p_i [z^s'] S^(N-1),  s' = s - i
-
-so each sample point needs only the six coefficients s-6 .. s-1 of S^(N-1).
-The kernel builds S^(N-1) one factor at a time but keeps, after k factors,
-only the degrees max(k, s-6 - 6r) .. min(6k, s-1 - r) (r = N-1-k factors
-left) that can still reach those six. It runs on row blocks of a few thousand
-points with faces on the leading axis, so its coefficient rows stay in cache.
-The per-point data depends only on (N, s), so it is cached and shared across
-L values and across old/new queries; the log-weights of the latest L are
-cached beside it, shared by the old and new throw.
+reference the lattice is checked against; it lives in simplex_integration.
 
 In the large-N regime old and new throws have the same posterior: the mean
 over the slice sum_v v f_v = a of the simplex, weighted by the model's
 density, with a per-face error bound. The Johnson slice is a ratio of
 saddle-tilted Fourier integrals, all six on the nodes of one exp-sinh rule
 (the change of its last step halving bounds it); the multiplicity slice is a
-Richardson-extrapolated lattice sum, as at finite N.
+Richardson-extrapolated lattice sum, as at finite N, paired by the engine
+shared with the closed forms (engine._pair_means).
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .core import (_check_base, Average, BudgetExhausted, DegenerateWeights, Distribution,
-                   PosteriorResult, ANALYTIC_LIMIT, DETERMINISTIC_QUAD, FACE_VALUES,
-                   MONTE_CARLO, OLD, N_FACES)
+from .core import (_check_base, Average, BudgetExhausted, Distribution, PosteriorResult,
+                   ANALYTIC_LIMIT, DETERMINISTIC_QUAD, FACE_VALUES, OLD, N_FACES)
 from .combinatorics import _constrained_counts, _pip_total
+from .engine import (_LOG_HALF, _MAX_SLICE_GRID, _log_factorials, _log_gamma, _pair_means,
+                     _richardson, _scaled)
+from .exact_models import _pseudo_counts
 from .maxent import burg_tilt, min_kl
-from .simplex_integration import (DEFAULT_SEED, _MC_BATCH, _MCAccumulator, make_rng,
-                                  sample_simplex_uniform)
-
-
-# --- finite-N Monte Carlo kernel ------------------------------------------
-
-# Points per block in the kernel: a block's few dozen coefficient rows then fit
-# in cache, where whole 200k-point batches spill to memory.
-_ROW_BLOCK = 2048
-
-
-def _power_window(pt: np.ndarray, m: int, lo: int, hi: int) -> np.ndarray:
-    """Coefficients lo..hi of (sum_l p_l z^l)^m, one row per degree.
-
-    `pt` holds the points with faces on the leading axis. After k factors only
-    the degrees from which lo..hi can still be reached by the remaining m - k
-    factors are kept; each step adds the six shifted products in face order.
-    """
-    if m == 0:
-        return np.ones((1, pt.shape[1]))
-    cur, c_lo = pt, 1
-    for k in range(2, m + 1):
-        r = m - k
-        n_lo, n_hi = max(k, lo - 6 * r), min(6 * k, hi - r)
-        c_hi = c_lo + cur.shape[0] - 1
-        nxt = np.zeros((n_hi - n_lo + 1, pt.shape[1]))
-        for v in range(1, 7):
-            d0, d1 = max(n_lo, c_lo + v), min(n_hi, c_hi + v)
-            if d0 <= d1:
-                shifted = cur[d0 - v - c_lo:d1 - v - c_lo + 1]
-                nxt[d0 - n_lo:d1 - n_lo + 1] += shifted * pt[v - 1]
-        cur, c_lo = nxt, n_lo
-    return cur[lo - c_lo:hi - c_lo + 1]
-
-
-def _finite_kernel(points: np.ndarray, n: int, s: int):
-    """Per-point constraint-sum data: log denominator and old-throw fractions.
-
-    Returns (log_a, old_probs) with log_a = ln sum_nv multinomial prod p^N_l
-    and old_probs_i = the multiplicity-weighted mean of N_i/N at fixed p.
-    """
-    m = n - 1
-    lo, hi = max(m, s - 6), min(6 * m, s - 1)     # the degrees of S^m read below
-    rows = points.shape[0]
-    terms = np.zeros((rows, N_FACES))
-    # S^0 = 1 and S^1 = S need no products: one pass over the batch, no copy
-    block = rows if m <= 1 else _ROW_BLOCK
-    for start in range(0, rows, block):
-        pt = points[start:start + block].T
-        if m > 1:
-            pt = np.ascontiguousarray(pt)
-        q = _power_window(pt, m, lo, hi)
-        for d in range(lo, hi + 1):
-            terms[start:start + block, s - d - 1] = pt[s - d - 1] * q[d - lo]
-    a = terms.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        log_a = np.log(a)
-    old = np.zeros_like(terms)
-    pos = a > 0.0
-    old[pos] = terms[pos] / a[pos, None]
-    return log_a, old
-
-
-class _KernelBatches:
-    """Per-batch kernel data for one (N, s, seed, budget), plus the log-weights
-    of the latest (scale, base), which the old and new throw of one cell share."""
-
-    def __init__(self, batches):
-        self.batches = batches          # (points, log_a, old_probs) triples
-        self._weights_key = None
-        self._weights = None
-
-    def log_weights(self, scale: float, base: Optional[Distribution]):
-        if self._weights_key != (scale, base):
-            self._weights = [log_a + _multiplicity_log_density(pts, scale, base)
-                             for pts, log_a, _ in self.batches]
-            self._weights_key = (scale, base)
-        return self._weights
-
-
-_KERNEL_CACHE: dict = {}
-
-
-def _kernel_batches(n: int, s: int, seed: int, budget: int) -> _KernelBatches:
-    """Cached kernel batches for one (N, s, seed, budget).
-
-    Only the most recent key is kept: the arrays are large and reuse happens
-    when consecutive queries vary L or the throw kind at fixed data.
-    """
-    key = (n, s, seed, int(budget))
-    if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE.clear()
-        batches = []
-        remaining = int(budget)
-        stream = 0
-        while remaining > 0:
-            nb = min(_MC_BATCH, remaining)
-            pts = sample_simplex_uniform(make_rng(seed, stream), nb)
-            log_a, old = _finite_kernel(pts, n, s)
-            batches.append((pts, log_a, old))
-            remaining -= nb
-            stream += 1
-        _KERNEL_CACHE[key] = _KernelBatches(batches)
-    return _KERNEL_CACHE[key]
-
-
-def _multiplicity_log_density(points: np.ndarray, scale: float,
-                              base: Optional[Distribution]) -> np.ndarray:
-    """log of the multiplicity prior density up to its normalization constant."""
-    from scipy.special import gammaln      # scipy loads on first use; see __init__
-    lw = -gammaln(scale * points + 1.0).sum(axis=1)
-    if base is not None:
-        lw = lw + scale * (points @ np.log(np.asarray(base.probs)))
-    return lw
+from .simplex_integration import DEFAULT_SEED, _multiplicity_mc
 
 
 # --- finite-N lattice -------------------------------------------------------
 
 # Error target of the lattice, absolute probability per face (0.001 pp).
 _LATTICE_TOL = 1e-5
-# Roundoff floor of the lattice bound, per face: where the second Richardson
-# level reads 0 or a few 1e-12, the answer can still be off by about 2e-11.
-_LATTICE_FLOOR = 1e-10
 # Grid sizes: the first grid puts 2 points in the narrowest per-face peak,
 # (L / m_v)^(-1/2) wide, with at least _MIN_GRID points; the doubling stops at
 # _MAX_GRID.
 _MIN_GRID = 64
 _MAX_GRID = 2 ** 20
-# Below this a log value's exp underflows out of the normal doubles.
-_LOG_TINY = math.log(np.finfo(float).tiny)
-_LOG_HALF = math.log(0.5)      # the end weight of the trapezoid rule
-
-
-def _scaled(logv: np.ndarray):
-    """A face sequence from its logs, as (first index kept, values scaled to a
-    maximum of 1, log scale): only the entries whose exp does not underflow."""
-    top = float(logv.max())
-    keep = np.flatnonzero(logv - top > _LOG_TINY)
-    return int(keep[0]), np.exp(logv[keep[0]:keep[-1] + 1] - top), top
 
 
 class _Lattice:
@@ -215,9 +77,10 @@ class _Lattice:
 
     I(k) is entry M of the convolution of the six per-face sequences
     h_{k_v}(j/M), j = 0..M, with weight 1/2 at j = 0 and j = M. Each face is
-    tilted by exp(L psi(L/6 + 1) p), which moves the peak of 1/Gamma(L p + 1)
-    to p = 1/6, and the base enters as (6 m_v)^(L p), which is 1 for the
-    uniform base; on the simplex both multiply to a constant. Every sequence
+    tilted by exp(L ln(L/6 + 1/2) p), which moves the peak of 1/Gamma(L p + 1)
+    near p = 1/6 (psi(L/6 + 1) would put it there exactly), and the base
+    enters as (6 m_v)^(L p), which is 1 for the uniform base; on the simplex
+    both multiply to a constant, so neither moves the result. Every sequence
     is kept as (first index, values scaled to a maximum of 1, log scale); a
     face keeps the entries whose exp does not underflow. I(k) is one dot
     product of the convolutions of faces 1-3 and faces 4-6, which are built
@@ -232,13 +95,12 @@ class _Lattice:
     """
 
     def __init__(self, scale: float, grid: int, base: Optional[Distribution] = None):
-        from scipy.special import digamma, gammaln
         self.grid = grid
         self.symmetric = base is None
         p = np.arange(grid + 1) / grid
         with np.errstate(divide="ignore"):
             self._log_p = np.log(p)
-        log_h0 = scale * digamma(scale / 6 + 1) * p - gammaln(scale * p + 1)
+        log_h0 = scale * math.log(scale / 6 + 0.5) * p - _log_gamma(scale * p + 1)
         log_h0[[0, grid]] += _LOG_HALF
         # one row per distinct face sequence, and the row of each face
         if self.symmetric:
@@ -311,9 +173,8 @@ class _LatticeSum:
     values and the log multinomials do not depend on the grid."""
 
     def __init__(self, counts: np.ndarray, n: int, throw: str, symmetric: bool):
-        from scipy.special import gammaln
         self.counts, self.n, self.throw = counts, n, throw
-        self.log_mult = -gammaln(counts + 1.0).sum(axis=1)     # ln N! is common to all
+        self.log_mult = -_log_factorials(n)[counts].sum(axis=1)     # ln N! is common to all
         keys = counts if throw == OLD else counts[:, None, :] + np.eye(N_FACES, dtype=counts.dtype)
         keys = keys.reshape(-1, N_FACES)
         if symmetric:
@@ -332,45 +193,6 @@ class _LatticeSum:
         return probs / probs.sum()
 
 
-def _richardson(probs_at, grid: int, tol: float, max_grid: int, romberg: bool = False):
-    """Richardson extrapolation of a lattice posterior whose error falls as M^-2.
-
-    R(2M) = P(2M) + (P(2M) - P(M)) / 3 removes the leading term. Its bound is
-    2 |P(2M) - P(M)| / 3 (the slice lattice). With `romberg` (the finite
-    lattice, where R's error falls as M^-4) it is |R(2M) - R(M)|, a second
-    Richardson level about 15 times R(2M)'s error, plus _LATTICE_FLOOR, and
-    the first bound needs three grids. M doubles from `grid` until the bound
-    is within `tol` on every face, or the next grid would pass `max_grid`
-    (warns BudgetExhausted). Returns (R, bound).
-    """
-    coarse, previous = probs_at(grid), None
-    while True:
-        grid *= 2
-        fine = probs_at(grid)
-        extrapolate = fine + (fine - coarse) / 3.0
-        if not romberg:
-            # where the error falls faster than M^-2 (weights that vanish at the
-            # faces) R overshoots by up to |P(2M) - P(M)| / 3, so the bound counts
-            # that term twice: the correction itself, and P(2M)'s own error
-            bound = 2 * np.abs(fine - coarse) / 3.0
-        elif previous is not None:
-            bound = np.abs(extrapolate - previous) + _LATTICE_FLOOR
-        else:
-            bound = np.full(N_FACES, math.inf)      # one extrapolate: refine once more
-        if bound.max() <= tol or 2 * grid > max_grid:
-            break
-        coarse, previous = fine, extrapolate
-    if bound.max() > tol:
-        warnings.warn(f"lattice stopped at {grid} points per face with Richardson "
-                      f"error bound {bound.max():.2e}", BudgetExhausted)
-    return np.maximum(extrapolate, 0.0), bound
-
-
-# Below this Kish effective sample size the Monte Carlo ratio and its stderr
-# rest on a handful of samples and are not reported as trustworthy.
-_MIN_ESS = 100
-
-
 def _finite_posterior(n: int, a: Average, scale: float,
                       base: Optional[Distribution], throw: str,
                       budget: int, seed: int, method: str) -> PosteriorResult:
@@ -379,16 +201,7 @@ def _finite_posterior(n: int, a: Average, scale: float,
     s = _pip_total(n, a)
 
     if method == "mc":
-        kernel = _kernel_batches(n, s, seed, budget)
-        acc = _MCAccumulator(N_FACES)
-        for (pts, _, old), logw in zip(kernel.batches, kernel.log_weights(scale, base)):
-            acc.add(logw, old if throw == OLD else pts)
-        probs, stderr, ess = acc.ratio()
-        if ess < _MIN_ESS:
-            warnings.warn(f"Monte Carlo weights are degenerate: effective sample size "
-                          f"{ess:.1f} of {acc.n} samples", DegenerateWeights)
-        return PosteriorResult.from_distribution(
-            Distribution.from_weights(probs), MONTE_CARLO, mc_stderr=stderr)
+        return _multiplicity_mc(n, s, scale, base, throw, budget, seed)
 
     if method == "deterministic":
         # the first grid resolves the narrowest per-face peak, (L / m_v)^(-1/2) wide
@@ -445,13 +258,8 @@ def generalized_multiplicity_posterior(n: int, a: Average, scale: float,
 _SLICE_TOL = 5e-4
 # Slice lattice sizes: the first grid is a multiple of the average's
 # denominator, at least _MIN_SLICE_GRID, with a point in the narrowest feature
-# of the weights and of the slice; the doubling stops at _MAX_SLICE_GRID,
-# where the arrays reach tens of megabytes.
+# of the weights and of the slice; the doubling stops at _MAX_SLICE_GRID.
 _MIN_SLICE_GRID = 60
-_MAX_SLICE_GRID = 1024
-# Elements of the faces 1-3 array paired per block: the table grids pair in one
-# block, and a large grid's pairing arrays stay within a few megabytes each.
-_PAIR_BLOCK = 1 << 18
 
 
 # Exp-sinh rule of the Fourier slice (Takahasi & Mori 1974): nodes x = x_lo + k h,
@@ -582,93 +390,29 @@ def _johnson_fourier(a: float, alpha: np.ndarray):
     return probs, np.where((bound >= 0) & (total > 0), bound, np.inf)
 
 
-def _slice_half(fp, fq, fr):
-    """The three faces of one half, with pip offsets 0, 1, 2, convolved into
-    H[u, s] = sum_j w_p[u + j] w_r[j] w_q[s - 2 j] over u = j_p - j_r and
-    s = j_q + 2 j_r, as one matrix product; also H with face r weighted by j_r.
-
-    Each face is (first index, values). Returns (H, weighted H, first u, first s).
-    """
-    (lp, wp), (lq, wq), (lr, wr) = fp, fq, fr
-    k = wr.size
-    padded = np.concatenate([np.zeros(k - 1), wp, np.zeros(k - 1)])
-    hankel = as_strided(padded, (wp.size + k - 1, k), padded.strides * 2)  # wp[row + j - k + 1]
-    jr = lr + np.arange(k)
-    left = np.concatenate([hankel * wr, hankel * (wr * jr)])
-    cols = wq.size + 2 * (k - 1)
-    right = np.zeros((k, cols))
-    right.ravel()[np.add.outer(np.arange(k) * (cols + 2), np.arange(wq.size))] = wq
-    both = left @ right
-    rows = hankel.shape[0]
-    return both[:rows], both[rows:], lp - lr - k + 1, lq + 2 * lr
-
-
-def _pair_means(faces, grid: int, target: int) -> np.ndarray:
-    """The mean of each face's index j over the index vectors with sum j = grid
-    and sum (v - 1) j = target, weighted by the product of the six faces'
-    (first index, values). Faces 1-3 and 4-6 are convolved into two 2-D arrays
-    over (u, s) (see _slice_half); pairing them at the two constraints gives
-    the normalizer and, weighted by u and s, the means of j_1 - j_3 and
-    j_2 + 2 j_3; the constraints turn those into the means of j_4 - j_6 and
-    j_5 + 2 j_6. With the face-3 and face-6 weighted arrays they give all six.
-    """
-    low, low_r, u_low, s_low = _slice_half(*faces[:3])
-    high, high_r, u_high, s_high = _slice_half(*faces[3:])
-
-    # faces 4-6 complete (u, s) of faces 1-3 at (4M - T - 4u - 3s, T - 3M + 3u + 2s),
-    # M = grid and T = target: the sums of j and of (v - 1) j over the six faces;
-    # rows of faces 1-3 are paired in blocks, so the pairing arrays stay small
-    u = u_low + np.arange(low.shape[0])
-    s = s_low + np.arange(low.shape[1])
-    total = j3 = j6 = u_sum = 0.0
-    s_sums = np.zeros(low.shape[1])
-    step = max(1, _PAIR_BLOCK // low.shape[1])
-    for r in range(0, low.shape[0], step):
-        lb, lb_r, ub = low[r:r + step], low_r[r:r + step], u[r:r + step]
-        row = (4 * grid - target - u_high - 4 * ub)[:, None] - 3 * s
-        col = (target - 3 * grid - s_high + 3 * ub)[:, None] + 2 * s
-        held = (row >= 0) & (row < high.shape[0]) & (col >= 0) & (col < high.shape[1])
-        flat = row[held] * high.shape[1] + col[held]
-        pair, pair_r = np.zeros_like(lb), np.zeros_like(lb)
-        pair[held] = high.ravel()[flat]
-        pair_r[held] = high_r.ravel()[flat]
-        w = lb * pair
-        total += w.sum()
-        j3 += (lb_r * pair).sum()
-        j6 += (lb * pair_r).sum()
-        u_sum += w.sum(axis=1) @ ub
-        s_sums += w.sum(axis=0)
-
-    j3, j6 = j3 / total, j6 / total
-    u_mean, s_mean = u_sum / total, s_sums @ s / total
-    u_high_mean = 4 * grid - target - 4 * u_mean - 3 * s_mean
-    s_high_mean = target - 3 * grid + 3 * u_mean + 2 * s_mean
-    return np.array([u_mean + j3, s_mean - 2 * j3, j3,
-                     u_high_mean + j6, s_high_mean - 2 * j6, j6])
-
-
-def _slice_probs(a: Average, log_weight, grid: int) -> np.ndarray:
+def _slice_probs(a: Average, log_weights, grid: int) -> np.ndarray:
     """The slice mean on the grid f = j/M with sum j = M and sum v j = a M.
 
     Each face keeps j up to M times its largest value on the slice, with
     weight 1/2 at j = 0 and j = M, and _pair_means sums over the slice.
     """
     av = a.value
+    log_w = log_weights(np.arange(grid + 1) / grid)
     faces = []
     for v in FACE_VALUES:
         top = 1 if v == av else (6 - av) / (6 - v) if v < av else (av - 1) / (v - 1)
-        j = np.arange(math.floor(top * grid) + 1)
-        logv = log_weight(v - 1, j / grid)
+        logv = log_w[v - 1, :math.floor(top * grid) + 1]
         logv[0] += _LOG_HALF
-        if j[-1] == grid:
+        if logv.size == grid + 1:
             logv[-1] += _LOG_HALF
         faces.append(_scaled(logv)[:2])
     return _pair_means(faces, grid, int((av - 1) * grid)) / grid
 
 
-def _slice_lattice(a: Average, log_weight, width: float):
-    """Mean over the slice of prod_v exp(log_weight(v, f_v)) (v 0-based), and
-    its per-face error bound; `width` is the weights' narrowest feature in f."""
+def _slice_lattice(a: Average, log_weights, width: float):
+    """Mean over the slice of prod_v exp(log_weights(f)[v - 1, f_v]), and its
+    per-face error bound. `log_weights` takes a grid's points f once and gives
+    each face's log weight at them; `width` is the weights' narrowest feature in f."""
     den = a.value.denominator
     extent = float(min(a.value - 1, 6 - a.value)) / 5.0    # the slice's narrowest face range
     grid = den * math.ceil(_MIN_SLICE_GRID / den)
@@ -679,7 +423,7 @@ def _slice_lattice(a: Average, log_weight, width: float):
                          f"per face (a multiple of the average's denominator that resolves "
                          f"the weights), more than {_MAX_SLICE_GRID}; for a large model "
                          f"parameter ask for its limit (--param large --n-over-param large)")
-    return _richardson(lambda m: _slice_probs(a, log_weight, m), grid,
+    return _richardson(lambda m: _slice_probs(a, log_weights, m), grid,
                        _SLICE_TOL, _MAX_SLICE_GRID)
 
 
@@ -688,18 +432,14 @@ def _slice_result(probs: np.ndarray, bound: np.ndarray) -> PosteriorResult:
                                              DETERMINISTIC_QUAD, error_bound=bound)
 
 
-def _check_concentration(concentration: float):
-    if not (concentration > 0 and math.isfinite(concentration)):
-        raise ValueError("concentration must be a finite positive real")
-    if math.isinf(N_FACES * concentration):
-        raise ValueError(f"concentration {concentration:g} is too large: its pseudo-counts "
-                         f"overflow")
-
-
-def _pseudo_counts(concentration: float, base: Optional[Distribution]) -> np.ndarray:
-    """K m_v per face, K per face without a base, for a checked K."""
-    _check_concentration(concentration)
-    return concentration * (np.ones(N_FACES) if base is None else np.asarray(base.probs))
+@functools.lru_cache(maxsize=64)
+def _slice_log_gamma(scale: float, grid: int) -> np.ndarray:
+    """ln Gamma(L f + 1) on the grid f = j/M, read-only. It depends on neither the
+    face nor the average, so queries at one L share it: the table averages all
+    start from M = 60."""
+    log_gamma = _log_gamma(scale * (np.arange(grid + 1) / grid) + 1.0)
+    log_gamma.flags.writeable = False
+    return log_gamma
 
 
 def johnson_large_n(a: Average, concentration: float,
@@ -715,6 +455,7 @@ def johnson_large_n(a: Average, concentration: float,
     concentration whose pseudo-counts would overflow (above about 3e307)
     raises ValueError.
     """
+    _check_base(base)
     alpha = _pseudo_counts(concentration, base)
     av = a.value
     if av.denominator == 1:
@@ -741,18 +482,17 @@ def multiplicity_large_n(a: Average, scale: float,
     a constant times the base factor. An L whose peaks the largest grid
     cannot resolve raises ValueError.
     """
+    _check_base(base)
     if not (scale >= 1 and math.isfinite(scale)):
         raise ValueError("multiplicity scale must be a finite real >= 1")
-    from scipy.special import gammaln
-
     if a.value in (1, 6):
         return _vertex(int(a.value))
     target = np.asarray(min_kl(a, base or Distribution.uniform()).distribution.probs)
     log_tilt = np.log(scale * target)
 
-    def log_weight(v, p):
-        return scale * p * log_tilt[v] - gammaln(scale * p + 1.0)
+    def log_weights(p):
+        return np.outer(log_tilt, scale * p) - _slice_log_gamma(scale, p.size - 1)
 
     # a face peaks (L f*)^(1/2) / L wide, or decays within 1 / L of f = 0
     width = float(np.min(np.maximum(np.sqrt(scale * target), 1.0))) / scale
-    return _slice_result(*_slice_lattice(a, log_weight, width))
+    return _slice_result(*_slice_lattice(a, log_weights, width))

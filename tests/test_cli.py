@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, determinism."""
 import ast
+import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import pytest
 import dicebayes
 from dicebayes import cli, multiplicity_model
 from dicebayes.cli import main
+from dicebayes.reference import parse_problem_id
 
 # the child interpreter imports the same dicebayes as this one
 SRC = str(Path(dicebayes.__file__).resolve().parents[1])
@@ -494,6 +497,27 @@ class TestEvalAsksWhatReproduceAsks:
                     cells += 1
         assert cells == 296 - 2     # all cells but the undefined row's two
 
+    def test_every_cell_has_the_same_method(self, capsys):
+        # the cells printed as "uniform distribution irrespective of a" too:
+        # at finite N a fair new throw is the closed form's
+        assert main(["reproduce", "--format", "csv"]) == 0
+        lines = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(lines) == 296
+        methods = set()
+        for line in lines:
+            if line["method"] == "undefined":
+                continue
+            n, a = parse_problem_id(line["problem"])
+            doc = {"problem": {"regime": "large-n" if n is None else n, "avg": str(a)}}
+            argv = self.eval_argv(doc, {"model": line["model"], "param": line["param"] or None},
+                                  line["throw"])
+            argv[argv.index("json")] = "csv"
+            assert main(argv) == 0, argv
+            got = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+            assert got[0]["method"] == line["method"], argv
+            methods.add(line["method"])
+        assert methods == {"analytic-limit", "closed-form", "deterministic-quad"}
+
 
 class TestParserReuse:
     def test_one_parser_per_process(self, monkeypatch, capsys):
@@ -542,10 +566,10 @@ class TestParserReuse:
 
 
 class TestImport:
-    # scipy costs about 0.5 s of imports and numpy about 0.1 s; a fresh process
-    # loads each only for the question that needs it
-    SUBMODULES = ["combinatorics", "core", "exact_models", "maxent", "multiplicity_model",
-                  "reference", "simplex_integration"]
+    # numpy costs about 0.1 s of imports: a fresh process loads it only for the
+    # question that needs it, and nothing in the package loads scipy
+    SUBMODULES = ["combinatorics", "core", "engine", "exact_models", "maxent",
+                  "multiplicity_model", "reference", "simplex_integration"]
     EXPORTS = ["Average", "BudgetExhausted", "ContradictoryData", "DegenerateWeights",
                "Distribution", "Exact", "FairThrow", "Johnson", "LargeN", "MaxEnt",
                "MaxentSolution", "Multiplicity", "NEW", "OLD", "PosteriorResult", "Query",
@@ -558,27 +582,31 @@ class TestImport:
     LOADED = ("print(sorted(m for m in sys.modules "
               "if m.split('.')[0] in ('numpy', 'scipy') or m.startswith('dicebayes.')))")
 
-    # the questions that need no scipy: the closed forms (Johnson at N = 300
-    # tilts its faces to the saddle point first), the large-N Johnson slice, the
-    # maxent families, and the parameter-large limits
-    NO_SCIPY = ["--n 12 --avg 5 --model fair --throw old",
-                "--n 32 --avg 7/2 --model johnson --param 5 --throw old",
-                "--n 300 --avg 5 --model johnson --param 50 --throw old",
-                "--n 300 --avg 5 --model johnson --param 50 --m 1,2,3,4,5,6 --throw new",
-                "--large-n --avg 5 --model maxent-shannon",
-                "--large-n --avg 5 --model maxent-burg",
-                "--large-n --avg 5 --model min-kl --m 1,2,3,4,5,6",
-                "--n 12 --avg 5 --model multiplicity --param large --throw old",
-                "--n 12 --avg 5 --model johnson --param large --m 1,2,3,4,5,6 --throw old",
-                "--large-n --avg 5 --model johnson --param 5 --throw old",
-                "--large-n --avg 5 --model johnson --param 5 --m 1,2,3,4,5,6 --throw old",
-                "--large-n --avg 5 --model johnson --param large --n-over-param small "
-                "--throw old",
-                "--large-n --avg 5 --model johnson --param large --n-over-param large "
-                "--throw old",
-                "--large-n --avg 5 --model multiplicity --param large --n-over-param large "
-                "--throw old",
-                "--n 3 --avg 7/2 --model fair --throw old"]     # unrealizable: exit 2
+    # every route: the closed forms (Johnson at N = 300 tilts its faces to the
+    # saddle point first), the finite-N multiplicity lattice with and without a
+    # base, the large-N slices, the maxent families and the parameter-large limits
+    ROUTES = ["--n 12 --avg 5 --model fair --throw old",
+              "--n 32 --avg 7/2 --model johnson --param 5 --throw old",
+              "--n 300 --avg 5 --model johnson --param 50 --throw old",
+              "--n 300 --avg 5 --model johnson --param 50 --m 1,2,3,4,5,6 --throw new",
+              "--n 6 --avg 5 --model multiplicity --param 5 --throw old",
+              "--n 6 --avg 5 --model multiplicity --param 5 --m 1,2,3,4,5,6 --throw new",
+              "--large-n --avg 5 --model maxent-shannon",
+              "--large-n --avg 5 --model maxent-burg",
+              "--large-n --avg 5 --model min-kl --m 1,2,3,4,5,6",
+              "--n 12 --avg 5 --model multiplicity --param large --throw old",
+              "--n 12 --avg 5 --model johnson --param large --m 1,2,3,4,5,6 --throw old",
+              "--large-n --avg 5 --model johnson --param 5 --throw old",
+              "--large-n --avg 5 --model johnson --param 5 --m 1,2,3,4,5,6 --throw old",
+              "--large-n --avg 5 --model multiplicity --param 5 --throw old",
+              "--large-n --avg 5 --model multiplicity --param 5 --m 1,2,3,4,5,6 --throw old",
+              "--large-n --avg 5 --model johnson --param large --n-over-param small "
+              "--throw old",
+              "--large-n --avg 5 --model johnson --param large --n-over-param large "
+              "--throw old",
+              "--large-n --avg 5 --model multiplicity --param large --n-over-param large "
+              "--throw old",
+              "--n 3 --avg 7/2 --model fair --throw old"]     # unrealizable: exit 2
 
     def test_import_loads_nothing(self):
         proc = run_python("-c", f"import sys, dicebayes; {self.LOADED}")
@@ -601,19 +629,51 @@ class TestImport:
             {"dicebayes.cli", "dicebayes.core", "dicebayes.reference"}
 
     def test_eval_loads_no_scipy(self):
-        # each query in turn in one fresh process: the first that loads scipy is named
+        # each route in turn in one fresh process, then the Monte Carlo reference
+        # (method="mc"), which no eval asks: the first that loads scipy is named
         code = ("import shlex, sys\n"
+                "from dicebayes import Average, multiplicity_posterior\n"
                 "from dicebayes.cli import main\n"
+                "def loaded():\n"
+                "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
                 "for line in sys.argv[1:]:\n"
                 "    code = main(['eval', *shlex.split(line), '--format', 'json'])\n"
-                "    print(code, line, any(m.split('.')[0] == 'scipy' for m in sys.modules),"
-                " file=sys.stderr)\n")
-        proc = run_python("-c", code, *self.NO_SCIPY)
+                "    print(code, line, loaded(), file=sys.stderr)\n"
+                "multiplicity_posterior(6, Average.parse('5'), 5.0, 'old', budget=1000)\n"
+                "print(0, 'mc', loaded(), file=sys.stderr)\n")
+        proc = run_python("-c", code, *self.ROUTES)
         assert proc.returncode == 0, proc.stderr
         results = [line.rsplit(" ", 1) for line in proc.stderr.splitlines()]
         assert [(head, loaded) for head, loaded in results if loaded != "False"] == []
         assert [head for head, _ in results] == \
-            [f"0 {line}" for line in self.NO_SCIPY[:-1]] + [f"2 {self.NO_SCIPY[-1]}"]
+            [f"0 {line}" for line in self.ROUTES[:-1]] + [f"2 {self.ROUTES[-1]}", "0 mc"]
+
+    def test_closed_forms_load_no_multiplicity_model(self):
+        proc = run_python("-c", f"import sys, dicebayes.exact_models; {self.LOADED}")
+        assert proc.returncode == 0, proc.stderr
+        assert "dicebayes.multiplicity_model" not in ast.literal_eval(proc.stdout.strip())
+
+    def test_no_module_imports_scipy(self):
+        # a static check, so that no later change brings the dependency back quietly
+        found = []
+        for path in sorted(Path(SRC, "dicebayes").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
+
+    def test_scipy_is_a_test_dependency_only(self):
+        tomllib = pytest.importorskip("tomllib")        # Python 3.11 on
+        project = tomllib.loads((Path(__file__).resolve().parents[1]
+                                 / "pyproject.toml").read_text())["project"]
+
+        def named(deps):
+            return [re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0] for dep in deps]
+
+        assert "scipy" not in named(project["dependencies"])
+        assert "scipy" in named(project["optional-dependencies"]["test"])
 
     def test_namespace(self):
         assert sorted(dicebayes.__all__) == sorted(self.EXPORTS + self.SUBMODULES)

@@ -14,7 +14,7 @@ from scipy.special import gammaln
 from dicebayes import (Average, ContradictoryData, Distribution, NEW, OLD,
                        fair_posterior, generalized_johnson_posterior, johnson_large_n,
                        johnson_posterior, maxent_shannon)
-from dicebayes import exact_models
+from dicebayes import engine, exact_models
 from dicebayes.cli import main
 from oracle import (brute_force_fair, brute_force_fair_literal, count_sequences,
                     enumerated_posterior, exact_johnson, reversed_average,
@@ -74,16 +74,16 @@ class TestFairPosterior:
                 assert fair_posterior(n, a, NEW, base).distribution == base
 
     def test_log_factorials_agree_with_scipy_gammaln(self, monkeypatch):
-        # ln c! comes from math.lgamma below 1024 and from Stirling's series above;
-        # the posterior barely moves with scipy's gammaln in its place, up to
-        # N = 1000 anywhere and up to N = 10^6 at the averages near a face that
-        # the closed form answers there, with and without a base
+        # ln c! comes from math.lgamma below 1024 and from the engine's Stirling
+        # series above; the posterior barely moves with scipy's gammaln in its
+        # place, up to N = 1000 anywhere and up to N = 10^6 at the averages near
+        # a face that the closed form answers there, with and without a base
         def gammaln_table(n):
             return gammaln(np.arange(n + 1) + 1.0)
 
         for n in (0, 1023, 1024, 10 ** 6):
             want = gammaln_table(n)
-            assert np.all(np.abs(exact_models._log_factorials(n) - want)
+            assert np.all(np.abs(engine._log_factorials(n) - want)
                           <= 3 * np.spacing(np.maximum(want, 1.0)))
         rng = random.Random(41)
         cases = [(1000, Fraction(7, 2)), (1000, Fraction(5)), (997, Fraction(1002, 997))]

@@ -1,5 +1,6 @@
 """Multiplicity-model posteriors, large-N slice integrals, and the routing of
 `posterior()`."""
+import functools
 import json
 import math
 import time
@@ -23,10 +24,13 @@ from dicebayes import (Average, BudgetExhausted, ContradictoryData,
 from dicebayes.cli import main
 from dicebayes.maxent import burg_tilt
 from dicebayes.combinatorics import _constrained_counts
-from dicebayes import multiplicity_model
-from dicebayes.multiplicity_model import (_LATTICE_TOL, _ROW_BLOCK, _SLICE_TOL, _Lattice,
-                                          _LatticeSum, _finite_kernel, _slice_lattice)
-from dicebayes.simplex_integration import make_rng, sample_simplex_uniform
+from dicebayes import engine, multiplicity_model
+from dicebayes.core import N_FACES
+from dicebayes.multiplicity_model import (_LATTICE_TOL, _SLICE_TOL, _Lattice, _LatticeSum,
+                                          _slice_lattice)
+from dicebayes.reference import load_reference_tables
+from dicebayes.simplex_integration import (_ROW_BLOCK, _finite_kernel, make_rng,
+                                           sample_simplex_uniform)
 from oracle import (bspline_slice_mean, mean_value, reversed_average, reversed_distribution,
                     slice_mean_mc)
 
@@ -245,6 +249,39 @@ class TestLattice:
                      "--param", "1e12", "--throw", "old"]) == 3
         assert time.perf_counter() - start < 1.0
         assert "--param large" in capsys.readouterr().err
+
+
+class TestAgainstScipyGammaln:
+    def test_table_cells_move_within_their_bounds(self, monkeypatch):
+        # ln Gamma and ln c! come from the engine; with scipy's gammaln in their
+        # place every lattice and slice cell of the tables moves by less than its
+        # error bound
+        questions = []
+        for table in load_reference_tables().values():
+            for row in table.rows:
+                if row.model != "multiplicity" or row.param.startswith("large"):
+                    continue
+                if table.n is None:
+                    questions.append((multiplicity_large_n, table.average, float(row.param)))
+                elif row.old.probs is not None:
+                    questions += [(multiplicity_posterior, table.n, table.average,
+                                   float(row.param), throw, 0, 0, "deterministic")
+                                  for throw in (OLD, NEW)]
+        got = [call(*args) for call, *args in questions]
+        # fresh caches, so that nothing computed before the patch is reused
+        monkeypatch.setattr(multiplicity_model, "_LATTICE_CACHE", {})
+        monkeypatch.setattr(multiplicity_model, "_slice_log_gamma", functools.lru_cache(
+            multiplicity_model._slice_log_gamma.__wrapped__))
+        monkeypatch.setattr(multiplicity_model, "_log_gamma", gammaln)
+        monkeypatch.setattr(multiplicity_model, "_log_factorials",
+                            lambda n: gammaln(np.arange(n + 1) + 1.0))
+        want = [call(*args) for call, *args in questions]
+        assert len(questions) == 3 * 3 + 11 * 3 * 2
+        for res, ref in zip(got, want):
+            # the large-N vertex at a = 6 is exact and has no bound
+            bound = np.zeros(N_FACES) if res.error_bound is None else res.error_bound
+            assert np.all(np.abs(np.subtract(res.distribution.probs, ref.distribution.probs))
+                          <= bound)
 
 
 class TestBaseLattice:
@@ -510,11 +547,12 @@ class TestJohnsonSlice:
     def test_slice_lattice_with_johnson_weights(self, k):
         # the multiplicity engine fed f^(K-1) lies within its own bound of the oracle
         for a in ("5", "7/2"):
-            def log_weight(v, p):
+            def log_weights(p):
                 with np.errstate(divide="ignore"):
-                    return (k - 1) * np.log(p) if k > 1 else np.zeros_like(p)
+                    return np.tile((k - 1) * np.log(p) if k > 1 else np.zeros_like(p),
+                                   (N_FACES, 1))
 
-            probs, bound = _slice_lattice(Average.parse(a), log_weight, 1.0)
+            probs, bound = _slice_lattice(Average.parse(a), log_weights, 1.0)
             exact = np.array([float(x) for x in bspline_slice_mean(Average.parse(a), (k,) * 6)])
             assert np.all(np.abs(probs - exact) <= bound)
 
@@ -583,7 +621,7 @@ class TestMultiplicitySlice:
         finally:
             tracemalloc.stop()
         assert peak < 80e6
-        monkeypatch.setattr(multiplicity_model, "_PAIR_BLOCK", 1 << 40)
+        monkeypatch.setattr(engine, "_PAIR_BLOCK", 1 << 40)
         whole = multiplicity_large_n(avg, 2000.0)
         assert max_dev(blocks.distribution, whole.distribution) <= 1e-15
         assert np.all(np.abs(np.asarray(blocks.error_bound)
@@ -725,6 +763,12 @@ class TestPosteriorRoutes:
             MaxEnt("renyi")
         with pytest.raises(ValueError, match="positive"):
             MaxEnt("burg", Distribution.vertex(6))
+        # the large-N slices refuse such a base too, also where a vertex would answer
+        zero = Distribution((0, .2, .2, .2, .2, .2))
+        for call in (lambda: johnson_large_n(A5, 5.0, zero),
+                     lambda: multiplicity_large_n(Average(6), 5.0, zero)):
+            with pytest.raises(ValueError, match="strictly positive"):
+                call()
 
     @pytest.mark.parametrize("a", [A5, A35])
     def test_without_a_base_every_shannon_limit_is_one_distribution(self, a):
