@@ -204,8 +204,10 @@ CLOSED_FORM = "closed-form"
 MONTE_CARLO = "monte-carlo"
 DETERMINISTIC_QUAD = "deterministic-quad"
 ANALYTIC_LIMIT = "analytic-limit"
+# a closed form standing in for another model, with a bound measured against it
+JOHNSON_LIMIT = "johnson-limit-measured-bound"
 
-_METHODS = (CLOSED_FORM, MONTE_CARLO, DETERMINISTIC_QUAD, ANALYTIC_LIMIT)
+_METHODS = (CLOSED_FORM, MONTE_CARLO, DETERMINISTIC_QUAD, ANALYTIC_LIMIT, JOHNSON_LIMIT)
 
 
 @dataclass(frozen=True)

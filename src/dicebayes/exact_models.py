@@ -5,11 +5,13 @@ by prod_v 1/c_v! (fair) or prod_v (alpha_v)_c / c_v! (Johnson, pseudo-counts
 alpha). On the constraints sum c = N and sum (v - 1) c = s - N, the engine's
 pairing (the large-N slice lattice's, without end weights) gives E[c] without
 listing the vectors. The old throw is E[c] / N, the Johnson new throw
-(E[c] + alpha) / (N + sum alpha). The Johnson pseudo-count checks live here, and
-the large-N Johnson slice uses them too.
+(E[c] + alpha) / (N + sum alpha); a process keeps E[c] for the other throw
+and for the other rows of a table that ask the same weights. The Johnson
+pseudo-count checks live here, and the large-N Johnson slice uses them too.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -27,14 +29,12 @@ _TILT_NATS = 600.0
 _OFFSETS = np.arange(N_FACES)      # v - 1, the pip offset of face v
 
 
-def _closed_form(n: int, a: Average, table: np.ndarray, saddle, throw: str,
-                 pseudo=0.0) -> PosteriorResult:
-    """The old throw E[c] / n, or the new throw (E[c] + pseudo) / (n + sum pseudo),
-    over the count vectors c of n throws averaging a, each weighted by
-    prod_v exp(table[c_v, v]). Where the weights span more than _TILT_NATS,
-    face v is first multiplied by z_v^c, ln z_v = saddle(s)[v - 1] = t0 + t1 (v - 1):
-    every vector on the constraints gains exp(t0 N + t1 (s - N)), so no mean
-    moves, and each face then peaks near its share of the constraints."""
+def _closed_form(n: int, a: Average, table: np.ndarray, saddle) -> np.ndarray:
+    """E[c] over the count vectors c of n throws averaging a, each weighted by
+    prod_v exp(table[c_v, v]), read-only. Where the weights span more than
+    _TILT_NATS, face v is first multiplied by z_v^c, ln z_v = saddle(s)[v - 1] =
+    t0 + t1 (v - 1): every vector on the constraints gains exp(t0 N + t1 (s - N)),
+    so no mean moves, and each face then peaks near its share of the constraints."""
     s = _pip_total(n, a)
     # the feasible counts: the other faces hold the rest at 1 to 6 pips each
     hi = [n if v * n == s else (6 * n - s) // (6 - v) if v * n < s else (s - n) // (v - 1)
@@ -51,19 +51,23 @@ def _closed_form(n: int, a: Average, table: np.ndarray, saddle, throw: str,
                          f"counts to sum over; ask for the many-throw limit (--large-n)")
     means = np.maximum(_pair_means(faces, n, s - n), 0.0)
     means[np.asarray(hi) == 0] = 0.0
-    probs = means / n if throw == OLD else (means + pseudo) / (n + np.sum(pseudo))
+    means.flags.writeable = False
+    return means
+
+
+def _result(probs: np.ndarray) -> PosteriorResult:
     return PosteriorResult.from_distribution(Distribution.from_weights(probs), CLOSED_FORM)
 
 
-def fair_posterior(n: int, a: Average, throw: str,
-                   base: Optional[Distribution] = None) -> PosteriorResult:
-    """Fair-throw model, i.i.d. throws from the base m (uniform without one):
-    the mean of c / N under the weights prod_v m_v^c_v / c_v! for old throws,
-    m for new."""
-    _check_base(base)
-    if throw == NEW:
-        _pip_total(n, a)    # contradictory data has no new throw either
-        return PosteriorResult.from_distribution(base or Distribution.uniform(), CLOSED_FORM)
+# E[c] is kept per (N, a) and model, up to _COUNTS_KEPT of each: a table asks
+# for the fair E[c] in its fair row and in both of its `large` rows, and for
+# each Johnson E[c] once per throw, old E[c] / N and new (E[c] + alpha) / (N + sum alpha).
+_COUNTS_KEPT = 256
+
+
+@functools.lru_cache(maxsize=_COUNTS_KEPT)
+def _fair_counts(n: int, a: Average, base: Optional[Distribution]) -> np.ndarray:
+    """E[c] under the weights prod_v m_v^c_v / c_v!, read-only."""
     log_m = np.zeros(N_FACES) if base is None else np.log(base.probs)
 
     def saddle(s):
@@ -76,7 +80,19 @@ def fair_posterior(n: int, a: Average, throw: str,
     # without a base every face reads the same column, so none is copied
     table = (np.broadcast_to(table, (n + 1, N_FACES)) if base is None
              else np.arange(n + 1)[:, None] * log_m + table)
-    return _closed_form(n, a, table, saddle, OLD)
+    return _closed_form(n, a, table, saddle)
+
+
+def fair_posterior(n: int, a: Average, throw: str,
+                   base: Optional[Distribution] = None) -> PosteriorResult:
+    """Fair-throw model, i.i.d. throws from the base m (uniform without one):
+    the mean of c / N under the weights prod_v m_v^c_v / c_v! for old throws,
+    m for new."""
+    _check_base(base)
+    if throw == NEW:
+        _pip_total(n, a)    # contradictory data has no new throw either
+        return PosteriorResult.from_distribution(base or Distribution.uniform(), CLOSED_FORM)
+    return _result(_fair_counts(n, a, base) / n)
 
 
 def _johnson_saddle(n: int, s: int, alpha: np.ndarray) -> np.ndarray:
@@ -116,10 +132,11 @@ def _pseudo_counts(concentration: float, base: Optional[Distribution]) -> np.nda
     return concentration * (np.ones(N_FACES) if base is None else np.asarray(base.probs))
 
 
-def _johnson_result(n: int, a: Average, concentration: float,
-                    base: Optional[Distribution], throw: str) -> PosteriorResult:
-    """Common path: per-face pseudo-counts K m_v (K without a base), weights
-    prod Gamma(c_v + pseudo_v) / c_v!.
+@functools.lru_cache(maxsize=_COUNTS_KEPT)
+def _johnson_counts(n: int, a: Average, concentration: float,
+                    base: Optional[Distribution]) -> np.ndarray:
+    """E[c] under the weights prod Gamma(c_v + pseudo_v) / c_v!, pseudo-counts
+    K m_v (K without a base), read-only.
 
     The table holds ln[(pseudo)_c / c!] for c = 0..n, the weight up to the
     constant factor Gamma(pseudo), as a running sum of ln(pseudo + j) - ln(j + 1)
@@ -143,7 +160,17 @@ def _johnson_result(n: int, a: Average, concentration: float,
                              f"point overflows (--param large is the limit)")
         return _johnson_saddle(n, s, pseudo)
 
-    return _closed_form(n, a, table, saddle, throw, pseudo)
+    return _closed_form(n, a, table, saddle)
+
+
+def _johnson_result(n: int, a: Average, concentration: float,
+                    base: Optional[Distribution], throw: str) -> PosteriorResult:
+    """The old throw E[c] / N, the new throw (E[c] + pseudo) / (N + sum pseudo)."""
+    means = _johnson_counts(n, a, concentration, base)
+    if throw == OLD:
+        return _result(means / n)
+    pseudo = _pseudo_counts(concentration, base)
+    return _result((means + pseudo) / (n + np.sum(pseudo)))
 
 
 def johnson_posterior(n: int, a: Average, concentration: float, throw: str) -> PosteriorResult:

@@ -9,9 +9,10 @@ of N throws with pip sum s = a*N,
     new throw:  P_i ~ sum_nv multinomial(nv) I(nv + e_i)
     I(k) = int_simplex prod_l h_{k_l}(p_l) dp
 
-`posterior()` answers it on a lattice (method="deterministic"): on the grid
-p = j/M, I(k) is entry M of the convolution of the six per-face sequences
-h_{k_l}(j/M), with weight 1/2 at j = 0 and j = M. Without a base I(k)
+`posterior()` answers it on a lattice (method="deterministic"), except at an
+L large enough for the Johnson closed form at pseudo-counts L m (see router):
+on the grid p = j/M, I(k) is entry M of the convolution of the six per-face
+sequences h_{k_l}(j/M), with weight 1/2 at j = 0 and j = M. Without a base I(k)
 depends only on the sorted counts, so it is computed once per count
 partition; with one, once per count vector. Each face is tilted by
 exp(L ln(L/6 + 1/2) p), which centres it near p = m_v (the tilts multiply to
@@ -283,6 +284,24 @@ _DE_SERIES = 0.25
 _ATAN_SERIES = [(-1) ** k / (2 * k + 1) for k in range(13, 0, -1)]
 
 
+# The max-ent roots that tilt the slices depend on the average and the base
+# alone, not on K or L, so a process keeps them for the next slice.
+@functools.lru_cache(maxsize=64)
+def _burg_root(a: float, weights: tuple) -> float:
+    """burg_tilt(a, weights), the weights given as the tuple of alpha / sum alpha:
+    the same base at two K can round to weights a unit in the last place apart."""
+    return burg_tilt(a, np.asarray(weights))
+
+
+@functools.lru_cache(maxsize=64)
+def _least_divergence(a: Average, base: Optional[Distribution]) -> np.ndarray:
+    """The distribution of least divergence from the base (uniform without one)
+    at mean a, read-only."""
+    target = np.asarray(min_kl(a, base or Distribution.uniform()).distribution.probs)
+    target.flags.writeable = False
+    return target
+
+
 def _vertex(face: int) -> PosteriorResult:
     return PosteriorResult.from_distribution(Distribution.vertex(face), ANALYTIC_LIMIT)
 
@@ -316,7 +335,7 @@ def _johnson_fourier(a: float, alpha: np.ndarray):
     c = np.asarray(FACE_VALUES, dtype=float) - a
     total_alpha = float(alpha.sum())
     weights = alpha / total_alpha          # the tilt and the ratios need only these
-    tilt = 1.0 + burg_tilt(a, weights) * c
+    tilt = 1.0 + _burg_root(a, tuple(weights.tolist())) * c
     ct = c / tilt
     ct /= math.sqrt(total_alpha) * math.sqrt(float(weights @ ct ** 2))
     live = ct != 0
@@ -487,7 +506,7 @@ def multiplicity_large_n(a: Average, scale: float,
         raise ValueError("multiplicity scale must be a finite real >= 1")
     if a.value in (1, 6):
         return _vertex(int(a.value))
-    target = np.asarray(min_kl(a, base or Distribution.uniform()).distribution.probs)
+    target = _least_divergence(a, base)
     log_tilt = np.log(scale * target)
 
     def log_weights(p):

@@ -216,7 +216,8 @@ class TestEval:
                          "--param", "1000000", "--m", "1,2,3,4,5,6", "--throw", "old"]) == 0
         out = capsys.readouterr().out
         assert "(0.0, 0.0, 0.0, 32.9, 34.2, 32.9) %" in out
-        assert "method: deterministic-quad" in out
+        # the Johnson closed form at pseudo-counts L m stands in for the lattice
+        assert "method: johnson-limit-measured-bound" in out
         line, = [l for l in out.splitlines() if l.startswith("error bound: (")]
         assert line.endswith(") pp")
 
@@ -584,13 +585,15 @@ class TestImport:
 
     # every route: the closed forms (Johnson at N = 300 tilts its faces to the
     # saddle point first), the finite-N multiplicity lattice with and without a
-    # base, the large-N slices, the maxent families and the parameter-large limits
+    # base and its Johnson stand-in at large L, the large-N slices, the maxent
+    # families and the parameter-large limits
     ROUTES = ["--n 12 --avg 5 --model fair --throw old",
               "--n 32 --avg 7/2 --model johnson --param 5 --throw old",
               "--n 300 --avg 5 --model johnson --param 50 --throw old",
               "--n 300 --avg 5 --model johnson --param 50 --m 1,2,3,4,5,6 --throw new",
               "--n 6 --avg 5 --model multiplicity --param 5 --throw old",
               "--n 6 --avg 5 --model multiplicity --param 5 --m 1,2,3,4,5,6 --throw new",
+              "--n 12 --avg 5 --model multiplicity --param 3e9 --throw old",
               "--large-n --avg 5 --model maxent-shannon",
               "--large-n --avg 5 --model maxent-burg",
               "--large-n --avg 5 --model min-kl --m 1,2,3,4,5,6",

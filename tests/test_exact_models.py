@@ -1,4 +1,5 @@
 """Closed-form fair-throw and Johnson posteriors against exact-rational oracles."""
+import functools
 import math
 import random
 import time
@@ -98,6 +99,9 @@ class TestFairPosterior:
                        [rng.uniform(0.05, 1.0) for _ in range(6)]))]
         got = [fair_posterior(n, a, OLD, base).distribution.probs for n, a, base in queries]
         monkeypatch.setattr(exact_models, "_log_factorials", gammaln_table)
+        # a fresh cache of E[c], so that nothing computed before the patch is reused
+        monkeypatch.setattr(exact_models, "_fair_counts", functools.lru_cache(
+            exact_models._fair_counts.__wrapped__))
         want = [fair_posterior(n, a, OLD, base).distribution.probs for n, a, base in queries]
         assert np.abs(np.subtract(got, want)).max() <= 1e-14
 
@@ -204,6 +208,35 @@ def throws_and_pip_sum(min_n, max_n):
     """(n, s) with n throws in [min_n, max_n] and a pip sum s they can reach."""
     return st.integers(min_n, max_n).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(n, 6 * n)))
+
+
+class TestExpectedCountsKept:
+    """E[c] is kept per (N, a) and weights: the throws and the table rows that
+    ask the same weights share one pairing, and sharing moves no bit."""
+
+    def test_reproduce_pairs_each_weighting_once(self, monkeypatch, capsys):
+        pairings = []
+        pair = exact_models._pair_means
+        monkeypatch.setattr(exact_models, "_pair_means",
+                            lambda *args: pairings.append(args[1:]) or pair(*args))
+        for name in ("_fair_counts", "_johnson_counts"):       # empty, as in a new process
+            monkeypatch.setattr(exact_models, name, functools.lru_cache(
+                getattr(exact_models, name).__wrapped__))
+        assert main(["reproduce", "--format", "json"]) == 0
+        kept = capsys.readouterr().out
+        assert len(pairings) == 44
+        for name in ("_fair_counts", "_johnson_counts"):
+            monkeypatch.setattr(exact_models, name, getattr(exact_models, name).__wrapped__)
+        pairings.clear()
+        assert main(["reproduce", "--format", "json"]) == 0
+        assert len(pairings) == 99 and capsys.readouterr().out == kept
+
+    def test_kept_counts_are_read_only(self):
+        a = Average(Fraction(5))
+        for counts in (exact_models._fair_counts(12, a, None),
+                       exact_models._johnson_counts(12, a, 5.0, None)):
+            with pytest.raises(ValueError):
+                counts[0] = 1.0
 
 
 class TestAgainstExactCounts:

@@ -24,8 +24,8 @@ from dicebayes import (Average, BudgetExhausted, ContradictoryData,
 from dicebayes.cli import main
 from dicebayes.maxent import burg_tilt
 from dicebayes.combinatorics import _constrained_counts
-from dicebayes import engine, multiplicity_model
-from dicebayes.core import N_FACES
+from dicebayes import engine, multiplicity_model, router
+from dicebayes.core import JOHNSON_LIMIT, N_FACES
 from dicebayes.multiplicity_model import (_LATTICE_TOL, _SLICE_TOL, _Lattice, _LatticeSum,
                                           _slice_lattice)
 from dicebayes.reference import load_reference_tables
@@ -127,7 +127,8 @@ class TestFinitePosterior:
         # at L = 1e6 the importance weights sit on about one sample
         with pytest.warns(DegenerateWeights):
             multiplicity_posterior(2, A5, 1e6, OLD)
-        # the routed answer comes from the lattice, without a warning
+        # the routed answer comes from the Johnson closed form at pseudo-counts
+        # L / 6 (TestJohnsonStandIn), without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["eval", "--n", "2", "--avg", "5", "--model", "multiplicity",
@@ -154,6 +155,7 @@ TABLE_DATA = [(n, a) for n in (1, 2, 6, 12) for a in ("6", "5", "7/2")
 
 
 BASE = Distribution.from_weights((1, 2, 3, 4, 5, 6))
+SKEWED = Distribution.from_weights((20, 1, 1, 1, 1, 1))
 
 
 def lattice(n, a, scale, throw):
@@ -244,11 +246,83 @@ class TestLattice:
             assert max_dev(lattice(n, "5", scale, throw).distribution, fair) <= n / scale
 
     def test_scale_beyond_the_grid_is_refused(self, capsys):
-        start = time.perf_counter()
-        assert main(["eval", "--n", "2", "--avg", "5", "--model", "multiplicity",
-                     "--param", "1e12", "--throw", "old"]) == 3
-        assert time.perf_counter() - start < 1.0
-        assert "--param large" in capsys.readouterr().err
+        # the lattice refuses L = 1e12 before it allocates; posterior answers
+        # it from the Johnson closed form (TestJohnsonStandIn), which refuses
+        # what neither can size: a saddle point past the double range, or a
+        # face wider than the pairing takes
+        with pytest.raises(ValueError, match="--param large"):
+            lattice(2, "5", 1e12, OLD)
+        for argv, limit in [(["--n", "2", "--avg", "5", "--param", "1e308"], "--param large"),
+                            (["--n", "2000", "--avg", "7/2", "--param", "1e12"], "--large-n")]:
+            start = time.perf_counter()
+            assert main(["eval", *argv, "--model", "multiplicity", "--throw", "old"]) == 3
+            assert time.perf_counter() - start < 1.0
+            assert limit in capsys.readouterr().err
+
+
+class TestJohnsonStandIn:
+    """Finite-N multiplicity at a large scale L: `posterior` answers from the
+    Johnson closed form at pseudo-counts L m wherever its bound,
+    0.2 (N / (L min m))^2 + 1e-14 per face, is within the lattice's target."""
+
+    @staticmethod
+    def refuse_the_lattice(monkeypatch):
+        def refuse(*key):
+            raise AssertionError(f"the lattice was asked for {key}")
+        monkeypatch.setattr(multiplicity_model, "_lattice", refuse)
+
+    @pytest.mark.parametrize("n, scale, pseudo", [
+        (2, "1000000", 1e6 / 6),        # the query stream's large-L question
+        (12, "3e9", 5e8)])              # past the lattice's largest grid
+    def test_large_scale_takes_the_closed_form(self, n, scale, pseudo, monkeypatch, capsys):
+        self.refuse_the_lattice(monkeypatch)
+        assert main(["eval", "--n", str(n), "--avg", "5", "--model", "multiplicity",
+                     "--param", scale, "--throw", "old", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == JOHNSON_LIMIT
+        assert max(payload["error_bound"]) <= _LATTICE_TOL
+        assert payload["probs"] == list(johnson_posterior(n, A5, pseudo, OLD).distribution)
+
+    def test_base_is_the_generalized_closed_form(self, monkeypatch):
+        self.refuse_the_lattice(monkeypatch)
+        for throw in (OLD, NEW):
+            res = posterior(Query(Exact(12), A5, throw, Multiplicity(1e6, BASE)))
+            johnson = generalized_johnson_posterior(12, A5, 1e6, BASE, throw)
+            assert res.distribution == johnson.distribution
+            assert res.error_bound == (0.2 * (12 / (1e6 / 21)) ** 2 + 1e-14,) * N_FACES
+
+    def test_table_cells_stay_on_the_lattice(self, monkeypatch, capsys):
+        # the tables' L <= 50 would give bounds of 3e-3 and more
+        asked, taken = [], []
+        stand_in = router._multiplicity_as_johnson
+
+        def spy(*args):
+            res = stand_in(*args)
+            (asked if res is None else taken).append(args)
+            return res
+
+        monkeypatch.setattr(router, "_multiplicity_as_johnson", spy)
+        assert main(["reproduce", "--format", "json"]) == 0
+        assert JOHNSON_LIMIT not in capsys.readouterr().out
+        assert len(asked) == 66 and taken == []    # 33 rows, old and new throws
+
+    @pytest.mark.parametrize("base", [None, BASE, SKEWED], ids=["none", "1..6", "20,1,..."])
+    @pytest.mark.parametrize("n", [1, 2, 12, 30])
+    def test_bound_holds_against_the_lattice(self, n, base, monkeypatch):
+        # near the vertices, where the difference is largest, at every L of
+        # the sweep: the target is lifted so that the route answers where its
+        # bound is loose too
+        monkeypatch.setattr(router, "_LATTICE_TOL", math.inf)
+        for a in (Fraction(1), 1 + Fraction(1, n), 6 - Fraction(1, n), Fraction(6)):
+            avg = Average(a)
+            for scale in (1e3, 1e4, 1e6):
+                for throw in (OLD, NEW):
+                    res = posterior(Query(Exact(n), avg, throw, Multiplicity(scale, base)))
+                    assert res.method == JOHNSON_LIMIT
+                    ref = multiplicity_model._finite_posterior(n, avg, scale, base, throw,
+                                                               0, 0, "deterministic")
+                    gap = np.abs(np.subtract(res.distribution.probs, ref.distribution.probs))
+                    assert np.all(gap <= np.add(res.error_bound, ref.error_bound))
 
 
 class TestAgainstScipyGammaln:
@@ -626,6 +700,37 @@ class TestMultiplicitySlice:
         assert max_dev(blocks.distribution, whole.distribution) <= 1e-15
         assert np.all(np.abs(np.asarray(blocks.error_bound)
                              - np.asarray(whole.error_bound)) <= 1e-15)
+
+
+class TestSliceRoots:
+    """The max-ent root that tilts a slice depends on the average and the base
+    alone: a process solves it once, and keeping it moves no bit."""
+
+    AVERAGES = [Average(Fraction(t)) for t in ("5", "7/2", "23/10", "47/10")]
+
+    def slices(self):
+        return [large_n(a, param) for a in self.AVERAGES
+                for large_n in (johnson_large_n, multiplicity_large_n) for param in (1.0, 5.0)]
+
+    def test_each_root_is_solved_once(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(multiplicity_model, "min_kl",
+                            lambda a, base: solved.append(a) or min_kl(a, base))
+        monkeypatch.setattr(multiplicity_model, "burg_tilt",
+                            lambda a, weights: solved.append(a) or burg_tilt(a, weights))
+        for name in ("_burg_root", "_least_divergence"):       # empty, as in a new process
+            monkeypatch.setattr(multiplicity_model, name, functools.lru_cache(
+                getattr(multiplicity_model, name).__wrapped__))
+        kept = self.slices()
+        assert len(solved) == 8 and len(set(solved)) == 8
+        for name in ("_burg_root", "_least_divergence"):
+            monkeypatch.setattr(multiplicity_model, name,
+                                getattr(multiplicity_model, name).__wrapped__)
+        solved.clear()
+        fresh = self.slices()
+        assert len(solved) == 16
+        for k, f in zip(kept, fresh):
+            assert k.distribution == f.distribution and k.error_bound == f.error_bound
 
 
 class TestAsymptoticDispatch:
